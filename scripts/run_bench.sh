@@ -1,15 +1,13 @@
 #!/bin/sh
-# Runs a google-benchmark suite and writes a machine-readable baseline
-# JSON (repo root by default), for before/after comparison of pipeline
-# optimisations. The output composes google-benchmark's own JSON with
+# Runs the perf_pipeline google-benchmark suite and writes a
+# machine-readable baseline JSON (repo root by default), for
+# before/after comparison of pipeline optimisations. The output composes google-benchmark's own JSON with
 # the harness's dmm-stats document (docs/OBSERVABILITY.md) under a
 # "dmm_stats" key, so one file carries both per-benchmark timings and
 # whole-run phase/counter aggregates.
 #
 # Usage: scripts/run_bench.sh [options] [out.json] [extra benchmark args...]
 #   --label <name>     write BENCH_<name>.json instead of BENCH_baseline.json
-#   --suite <bench>    which harness to run: perf_pipeline (default) or
-#                      perf_incremental
 #   --compare <base>   after the run, gate the fresh output against an
 #                      existing baseline via scripts/bench_history.py
 #                      (exit 1 on a stable-benchmark regression)
@@ -18,7 +16,6 @@
 set -e
 cd "$(dirname "$0")/.."
 
-SUITE=perf_pipeline
 LABEL=""
 OUT=""
 COMPARE=""
@@ -31,11 +28,6 @@ while [ $# -gt 0 ]; do
       LABEL="$2"; shift 2 ;;
     --label=*)
       LABEL="${1#--label=}"; shift ;;
-    --suite)
-      [ $# -ge 2 ] || { echo "error: --suite requires a name" >&2; exit 2; }
-      SUITE="$2"; shift 2 ;;
-    --suite=*)
-      SUITE="${1#--suite=}"; shift ;;
     --compare)
       [ $# -ge 2 ] || { echo "error: --compare requires a baseline" >&2; exit 2; }
       COMPARE="$2"; shift 2 ;;
@@ -71,9 +63,9 @@ if [ ! -f build/CMakeCache.txt ]; then
   exit 2
 fi
 
-if [ ! -x "build/bench/$SUITE" ]; then
-  echo "building $SUITE..." >&2
-  cmake --build build --target "$SUITE" >/dev/null
+if [ ! -x build/bench/perf_pipeline ]; then
+  echo "building perf_pipeline..." >&2
+  cmake --build build --target perf_pipeline >/dev/null
 fi
 
 # google-benchmark does not create missing directories for
@@ -85,7 +77,7 @@ GB_TMP="${OUT}.gbench.tmp"
 STATS_TMP="${OUT}.stats.tmp"
 trap 'rm -f "$GB_TMP" "$STATS_TMP"' EXIT
 
-"build/bench/$SUITE" \
+build/bench/perf_pipeline \
   --stats-json="$STATS_TMP" \
   --benchmark_out="$GB_TMP" \
   --benchmark_out_format=json \

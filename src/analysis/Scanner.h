@@ -6,9 +6,8 @@
 ///
 /// \file
 /// The scan side of the paper's Figure 2 algorithm, factored out of
-/// DeadMemberAnalysis so that the monolithic pass and the per-file
-/// summary extractor (analysis/Summary.h) walk statements with the
-/// *same* code and therefore emit the *same* event streams.
+/// DeadMemberAnalysis so that the per-function scans can fan out across
+/// threads while marking stays on one.
 ///
 /// A Scanner performs a pure read of one function's (or one global
 /// initializer's) AST — it never consults earlier liveness marks; every

@@ -372,5 +372,20 @@ bool parse(std::string_view Text, Value &Out, std::string &Error) {
   return Parser(Text, Error).run(Out);
 }
 
+void printString(std::ostream &OS, std::string_view S) {
+  static const char *Hex = "0123456789abcdef";
+  OS << '"';
+  for (char C : S) {
+    unsigned char U = static_cast<unsigned char>(C);
+    if (C == '"' || C == '\\')
+      OS << '\\' << C;
+    else if (U < 0x20)
+      OS << "\\u00" << Hex[U >> 4] << Hex[U & 0xf];
+    else
+      OS << C;
+  }
+  OS << '"';
+}
+
 } // namespace json
 } // namespace dmm

@@ -8,6 +8,8 @@
 /// A small, strict JSON parser producing an immutable DOM. Used to read
 /// back the tool's own machine-readable outputs (--stats-json files for
 /// --report, schema-validation tests) without external dependencies.
+/// Also the one string escaper the telemetry writers (trace, stats,
+/// JSONL log) share, so their outputs escape identically.
 ///
 /// Strictness: the full input must be exactly one JSON value (trailing
 /// non-whitespace rejected), escapes must be legal, strings must be
@@ -23,6 +25,7 @@
 #define DMM_TELEMETRY_JSON_H
 
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -75,6 +78,11 @@ private:
 /// Parses \p Text into \p Out. On failure returns false and sets
 /// \p Error to "offset N: message".
 bool parse(std::string_view Text, Value &Out, std::string &Error);
+
+/// Writes \p S to \p OS as a quoted JSON string: '"' and '\\' are
+/// backslash-escaped, control characters become \u00XX, and all other
+/// bytes pass through unchanged.
+void printString(std::ostream &OS, std::string_view S);
 
 } // namespace json
 } // namespace dmm

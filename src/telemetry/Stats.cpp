@@ -18,55 +18,6 @@
 using namespace dmm;
 using namespace dmm::stats;
 
-uint64_t SpanStat::intArg(std::string_view Key, uint64_t Default) const {
-  for (const auto &[K, V] : IntArgs)
-    if (K == Key)
-      return V;
-  return Default;
-}
-
-std::string SpanStat::strArg(std::string_view Key) const {
-  for (const auto &[K, V] : StrArgs)
-    if (K == Key)
-      return V;
-  return std::string();
-}
-
-namespace {
-
-std::pair<std::string_view, std::string_view>
-splitNamespace(std::string_view Name) {
-  size_t Dot = Name.find('.');
-  if (Dot == std::string_view::npos)
-    return {Name, std::string_view()};
-  return {Name.substr(0, Dot), Name.substr(Dot + 1)};
-}
-
-bool namespaceKeyLess(std::string_view A, std::string_view B) {
-  auto [NsA, KeyA] = splitNamespace(A);
-  auto [NsB, KeyB] = splitNamespace(B);
-  if (NsA != NsB)
-    return NsA < NsB;
-  return KeyA < KeyB;
-}
-
-void printEscaped(std::ostream &OS, std::string_view S) {
-  static const char *Hex = "0123456789abcdef";
-  OS << '"';
-  for (char C : S) {
-    unsigned char U = static_cast<unsigned char>(C);
-    if (C == '"' || C == '\\')
-      OS << '\\' << C;
-    else if (U < 0x20)
-      OS << "\\u00" << Hex[U >> 4] << Hex[U & 0xf];
-    else
-      OS << C;
-  }
-  OS << '"';
-}
-
-} // namespace
-
 StatsDocument stats::buildStats(const Telemetry &T, std::string Tool,
                                 unsigned Jobs) {
   StatsDocument D;
@@ -132,7 +83,7 @@ void stats::printStats(const StatsDocument &D, std::ostream &OS) {
   OS << "  \"schema\": \"" << kSchemaName << "\",\n";
   OS << "  \"version\": " << D.Version << ",\n";
   OS << "  \"tool\": ";
-  printEscaped(OS, D.Tool);
+  json::printString(OS, D.Tool);
   OS << ",\n";
   OS << "  \"jobs\": " << D.Jobs << ",\n";
   OS << "  \"memory_accounting\": " << (D.MemAccounting ? "true" : "false")
@@ -179,11 +130,11 @@ void stats::printStats(const StatsDocument &D, std::ostream &OS) {
     for (size_t I = 0; I != P.Sites.size(); ++I) {
       const ProfilerSiteRow &S = P.Sites[I];
       OS << (I ? "," : "") << "\n      {\"file\": ";
-      printEscaped(OS, S.File);
+      json::printString(OS, S.File);
       OS << ", \"line\": " << S.Line << ", \"class\": ";
-      printEscaped(OS, S.Class);
+      json::printString(OS, S.Class);
       OS << ", \"member\": ";
-      printEscaped(OS, S.Member);
+      json::printString(OS, S.Member);
       OS << ", \"objects\": " << S.Objects
          << ", \"alloc_bytes\": " << S.AllocBytes
          << ", \"written_bytes\": " << S.WrittenBytes
@@ -201,7 +152,7 @@ void stats::printStats(const StatsDocument &D, std::ostream &OS) {
   for (size_t I = 0; I != D.Phases.size(); ++I) {
     const PhaseRow &P = D.Phases[I];
     OS << (I ? "," : "") << "\n    {\"name\": ";
-    printEscaped(OS, P.Name);
+    json::printString(OS, P.Name);
     OS << ", \"wall_ns\": " << P.Nanos << ", \"calls\": " << P.Invocations
        << "}";
   }
@@ -210,7 +161,7 @@ void stats::printStats(const StatsDocument &D, std::ostream &OS) {
   OS << "  \"counters\": {";
   for (size_t I = 0; I != D.Counters.size(); ++I) {
     OS << (I ? "," : "") << "\n    ";
-    printEscaped(OS, D.Counters[I].first);
+    json::printString(OS, D.Counters[I].first);
     OS << ": " << D.Counters[I].second;
   }
   OS << (D.Counters.empty() ? "" : "\n  ") << "},\n";
@@ -220,7 +171,7 @@ void stats::printStats(const StatsDocument &D, std::ostream &OS) {
     const SpanStat &S = D.Spans[I];
     OS << (I ? "," : "") << "\n    {\"id\": " << S.Id
        << ", \"parent\": " << S.Parent << ", \"name\": ";
-    printEscaped(OS, S.Name);
+    json::printString(OS, S.Name);
     OS << ", \"depth\": " << S.Depth << ", \"start_ns\": " << S.StartNanos
        << ", \"wall_ns\": " << S.DurNanos << ", \"cpu_ns\": " << S.CpuNanos
        << ", \"mem_net_bytes\": " << S.MemNetBytes
@@ -231,15 +182,15 @@ void stats::printStats(const StatsDocument &D, std::ostream &OS) {
       for (const auto &[K, V] : S.IntArgs) {
         OS << (First ? "" : ", ");
         First = false;
-        printEscaped(OS, K);
+        json::printString(OS, K);
         OS << ": " << V;
       }
       for (const auto &[K, V] : S.StrArgs) {
         OS << (First ? "" : ", ");
         First = false;
-        printEscaped(OS, K);
+        json::printString(OS, K);
         OS << ": ";
-        printEscaped(OS, V);
+        json::printString(OS, V);
       }
       OS << "}";
     }

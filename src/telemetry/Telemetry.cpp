@@ -8,6 +8,7 @@
 
 #include "support/ThreadPool.h"
 #include "telemetry/FlightRecorder.h"
+#include "telemetry/Json.h"
 #include "telemetry/MemoryAccounting.h"
 
 #include <algorithm>
@@ -56,15 +57,15 @@ splitNamespace(std::string_view Name) {
   return {Name.substr(0, Dot), Name.substr(Dot + 1)};
 }
 
-bool namespaceKeyLess(std::string_view A, std::string_view B) {
+} // namespace
+
+bool dmm::namespaceKeyLess(std::string_view A, std::string_view B) {
   auto [NsA, KeyA] = splitNamespace(A);
   auto [NsB, KeyB] = splitNamespace(B);
   if (NsA != NsB)
     return NsA < NsB;
   return KeyA < KeyB;
 }
-
-} // namespace
 
 Telemetry::Telemetry()
     : Epoch(std::chrono::steady_clock::now()), SpanLimit(size_t(1) << 18) {
@@ -337,21 +338,6 @@ void Telemetry::printMetrics(std::ostream &OS) const {
   OS.flags(Flags);
 }
 
-static void printJsonEscaped(std::ostream &OS, std::string_view S) {
-  static const char *Hex = "0123456789abcdef";
-  OS << '"';
-  for (char C : S) {
-    unsigned char U = static_cast<unsigned char>(C);
-    if (C == '"' || C == '\\')
-      OS << '\\' << C;
-    else if (U < 0x20)
-      OS << "\\u00" << Hex[U >> 4] << Hex[U & 0xf];
-    else
-      OS << C;
-  }
-  OS << '"';
-}
-
 void Telemetry::printChromeTrace(std::ostream &OS) const {
   std::lock_guard<std::mutex> Lock(Mu);
   auto Flags = OS.flags();
@@ -363,7 +349,7 @@ void Telemetry::printChromeTrace(std::ostream &OS) const {
       OS << ",";
     First = false;
     OS << "\n  {\"name\": ";
-    printJsonEscaped(OS, S.Name);
+    json::printString(OS, S.Name);
     OS << ", \"cat\": \"span\", \"ph\": \"X\", \"ts\": " << S.StartNanos / 1e3
        << ", \"dur\": " << S.DurNanos / 1e3
        << ", \"pid\": 1, \"tid\": 1, \"args\": {\"span_id\": " << S.Id
@@ -373,10 +359,10 @@ void Telemetry::printChromeTrace(std::ostream &OS) const {
        << ", \"mem_net_bytes\": " << S.MemNetBytes;
     for (const SpanArg &A : S.Args) {
       OS << ", ";
-      printJsonEscaped(OS, A.Key);
+      json::printString(OS, A.Key);
       OS << ": ";
       if (A.IsString)
-        printJsonEscaped(OS, A.StrValue);
+        json::printString(OS, A.StrValue);
       else
         OS << A.IntValue;
     }
@@ -393,7 +379,7 @@ void Telemetry::printChromeTrace(std::ostream &OS) const {
       if (!FirstArg)
         OS << ", ";
       FirstArg = false;
-      printJsonEscaped(OS, Name);
+      json::printString(OS, Name);
       OS << ": " << Value;
     }
     OS << "}}";

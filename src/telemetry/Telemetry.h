@@ -39,7 +39,7 @@
 /// Span names are part of the tool's observable interface (benches and
 /// tests grep for them): "lex", "parse", "sema", "callgraph",
 /// "analysis", "eliminate", "interp", and the dotted sub-spans
-/// ("analysis.scan", "summary.file", "cache.lookup", ...). Counter
+/// ("analysis.scan", "analysis.replay", "vm.compile", ...). Counter
 /// names are dotted, prefixed by their namespace (e.g.
 /// "analysis.exprs_visited").
 ///
@@ -54,6 +54,7 @@
 #include <mutex>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace dmm {
@@ -260,6 +261,11 @@ private:
   uint64_t CpuStart = 0;
   std::vector<SpanArg> Args;
 };
+
+/// The documented sort order of phase and counter names: by
+/// (namespace, key), where the namespace is the dotted prefix before
+/// the first '.'. The metrics table and the stats document share it.
+bool namespaceKeyLess(std::string_view A, std::string_view B);
 
 } // namespace dmm
 

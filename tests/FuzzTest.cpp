@@ -16,17 +16,56 @@
 
 #include "TestUtil.h"
 
-#include "cache/Hash.h"
 #include "fuzz/Coverage.h"
 #include "fuzz/Feedback.h"
 #include "fuzz/Oracles.h"
 #include "fuzz/ProgramGenerator.h"
 #include "fuzz/Shrinker.h"
 
+#include <cstring>
+#include <string_view>
+
 using namespace dmm;
 using namespace dmm::test;
 
 namespace {
+
+/// Streaming 64-bit hash (word-at-a-time FNV-1a with a murmur-style
+/// finalizer) that fingerprints the generated corpus in FuzzSeedStability.
+/// Length-prefixing each string keeps ("ab","c") and ("a","bc") apart.
+class Hasher {
+public:
+  void str(std::string_view S) {
+    word(S.size());
+    const char *P = S.data();
+    size_t N = S.size();
+    while (N >= 8) {
+      uint64_t W;
+      std::memcpy(&W, P, 8);
+      word(W);
+      P += 8;
+      N -= 8;
+    }
+    if (N != 0) {
+      uint64_t Tail = 0;
+      std::memcpy(&Tail, P, N);
+      word(Tail);
+    }
+  }
+
+  uint64_t value() const {
+    uint64_t V = H;
+    V ^= V >> 33;
+    V *= 0xff51afd7ed558ccdull;
+    V ^= V >> 33;
+    return V;
+  }
+
+private:
+  void word(uint64_t V) { H = (H ^ V) * 0x100000001b3ull; }
+
+  uint64_t H = 0xcbf29ce484222325ull; // FNV-1a 64-bit offset basis.
+};
 
 unsigned nonBlankLines(const std::string &S) {
   unsigned N = 0;

@@ -668,6 +668,11 @@ struct CorpusEntry {
   std::vector<CorpusFile> Files;
 };
 
+// gtest appends the printed parameter to each listed test name. Without
+// a printer it dumps the struct's raw bytes, pointers included, so the
+// name would change with the load address of every build.
+void PrintTo(const CorpusEntry &E, std::ostream *OS) { *OS << E.Name; }
+
 const CorpusEntry kCorpus[] = {
     {"basics", {{"basics.mcc"}}},
     {"inheritance", {{"inheritance.mcc"}}},
