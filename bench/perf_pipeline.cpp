@@ -29,8 +29,8 @@ namespace {
 /// Export accumulated phase times as per-iteration counters so the
 /// benchmark output decomposes by stage (e.g. lex_ms, parse_ms).
 void exportPhaseCounters(benchmark::State &State, const Telemetry &Tel) {
-  for (const PhaseStat &P : Tel.phases())
-    State.counters[P.Name + "_ms"] =
+  for (const auto &[Name, P] : Tel.phases())
+    State.counters[Name + "_ms"] =
         benchmark::Counter(P.Nanos / 1e6 / State.iterations());
 }
 

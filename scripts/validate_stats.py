@@ -21,6 +21,15 @@ Subcommands:
                             fields (jobs, start_ns, wall_ns, cpu_ns,
                             mem_*_bytes) -- the cross---jobs
                             determinism contract
+  check-views STATS TRACE METRICS
+                            check that the --stats-json, --trace-json
+                            and --metrics outputs of one run agree: the
+                            trace's duration events match the stats
+                            spans (id, parent, name, args, timing), its
+                            counter event matches the stats counters
+                            (keys, order, values), and the metrics table
+                            lists the stats phases (names, calls, times,
+                            order) and counters (names, values, order)
   check-crash FILE          check a dmm-crash-<pid>.json crash report:
                             dmm-crash schema v1, a non-empty span stack,
                             at least one flight-recorder event with the
@@ -331,6 +340,87 @@ def cmd_compare(path_a, path_b):
           % (path_a, path_b, a["jobs"], b["jobs"]))
 
 
+# Per-span args every trace duration event carries besides the span's
+# own attributes.
+TRACE_SPAN_FIELDS = frozenset(
+    ("span_id", "parent", "cpu_us", "mem_peak_bytes", "mem_net_bytes"))
+
+
+def parse_metrics_table(path):
+    """Returns ([(phase, ms_text, calls)], [(counter, value)]) from a
+    --metrics table."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            lines = f.read().splitlines()
+    except OSError as e:
+        fail("%s: %s" % (path, e))
+    phases, counters, section = [], [], None
+    for line in lines:
+        if line.startswith("phase "):
+            section = phases
+        elif line.startswith("counter "):
+            section = counters
+        elif line.strip():
+            if section is None:
+                fail("%s: row before the table header: %r" % (path, line))
+            parts = line.split()
+            if section is phases and len(parts) == 3:
+                phases.append((parts[0], parts[1], int(parts[2])))
+            elif section is counters and len(parts) == 2:
+                counters.append((parts[0], int(parts[1])))
+            else:
+                fail("%s: malformed row %r" % (path, line))
+    return phases, counters
+
+
+def cmd_check_views(stats_path, trace_path, metrics_path):
+    doc = check_stats_doc(load(stats_path), stats_path)
+    trace = load(trace_path)
+    events = trace.get("traceEvents") if isinstance(trace, dict) else None
+    if not isinstance(events, list):
+        fail("%s: missing array \"traceEvents\"" % trace_path)
+
+    spans = [e for e in events if e.get("ph") == "X"]
+    if len(spans) != len(doc["spans"]):
+        fail("%s has %d duration events, %s has %d spans"
+             % (trace_path, len(spans), stats_path, len(doc["spans"])))
+    for e, s in zip(spans, doc["spans"]):
+        args = e.get("args", {})
+        got = (e.get("name"), args.get("span_id"), args.get("parent"),
+               {k: v for k, v in args.items()
+                if k not in TRACE_SPAN_FIELDS})
+        want = (s["name"], s["id"], s["parent"], s.get("args", {}))
+        if got != want:
+            fail("span %d: trace has %r, stats has %r" % (s["id"], got, want))
+        # Both views print the same record: microseconds to 3 places.
+        for key, field in (("ts", "start_ns"), ("dur", "wall_ns")):
+            if abs(e.get(key, -1) - s[field] / 1e3) > 1e-3:
+                fail("span %d: trace %s %r vs stats %s %d"
+                     % (s["id"], key, e.get(key), field, s[field]))
+
+    counter_events = [e for e in events if e.get("ph") == "I"
+                      and e.get("name") == "counters"]
+    trace_counters = (list(counter_events[0].get("args", {}).items())
+                      if counter_events else [])
+    stats_counters = list(doc["counters"].items())
+    if len(counter_events) > 1 or trace_counters != stats_counters:
+        fail("trace counters %r differ from stats counters %r"
+             % (trace_counters[:5], stats_counters[:5]))
+
+    phases, counters = parse_metrics_table(metrics_path)
+    want_phases = [(p["name"], "%.3f" % (p["wall_ns"] / 1e6), p["calls"])
+                   for p in doc["phases"]]
+    if phases != want_phases:
+        fail("metrics phases %r differ from stats phases %r"
+             % (phases, want_phases))
+    if counters != stats_counters:
+        fail("metrics counters %r differ from stats counters %r"
+             % (counters[:5], stats_counters[:5]))
+    print("%s, %s and %s agree (%d spans, %d phases, %d counters)"
+          % (stats_path, trace_path, metrics_path, len(spans), len(phases),
+             len(counters)))
+
+
 def cmd_check_crash(path):
     doc = load(path)
     if not isinstance(doc, dict):
@@ -395,6 +485,8 @@ def main(argv):
             cmd_validate_trace(path)
     elif len(argv) == 4 and argv[1] == "compare":
         cmd_compare(argv[2], argv[3])
+    elif len(argv) == 5 and argv[1] == "check-views":
+        cmd_check_views(argv[2], argv[3], argv[4])
     elif len(argv) >= 3 and argv[1] == "check-crash":
         for path in argv[2:]:
             cmd_check_crash(path)

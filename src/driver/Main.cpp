@@ -79,7 +79,6 @@ struct DriverOptions {
   std::vector<std::string> Explain; ///< --explain=<Class::member>.
   std::optional<LogLevel> LogLevelFlag; ///< --log-level=<level>.
   std::string LogJsonFile;  ///< --log-json=<file>; empty = off.
-  uint64_t SpanLimit = 0;   ///< --span-limit=<N> / DMM_SPAN_LIMIT; 0 = default.
   std::string InjectFault;  ///< --inject-fault=<crash|terminate>.
 };
 
@@ -162,10 +161,6 @@ int usage() {
          "                           (also: DMM_LOG_LEVEL env var)\n"
          "  --log-json=<file>        also write every log event as one\n"
          "                           JSON object per line to <file>\n"
-         "  --span-limit=<N>         cap retained telemetry spans at N;\n"
-         "                           spans beyond the cap count into the\n"
-         "                           telemetry.spans_dropped counter\n"
-         "                           (also: DMM_SPAN_LIMIT env var)\n"
          "  --inject-fault=<kind>    harness self-validation: die with\n"
          "                           kind 'crash' (SIGSEGV) or\n"
          "                           'terminate' (std::terminate) after\n"
@@ -336,17 +331,6 @@ bool parseArgs(int Argc, char **Argv, DriverOptions &Opts) {
         std::cerr << "error: --log-json requires a file name\n";
         return false;
       }
-    } else if (Arg.rfind("--span-limit=", 0) == 0) {
-      std::string Value = Arg.substr(13);
-      char *End = nullptr;
-      unsigned long long Limit = std::strtoull(Value.c_str(), &End, 10);
-      if (Value.empty() || *End || Limit == 0) {
-        std::cerr << "error: --span-limit expects a positive integer, "
-                     "got '"
-                  << Value << "'\n";
-        return false;
-      }
-      Opts.SpanLimit = Limit;
     } else if (Arg.rfind("--inject-fault=", 0) == 0) {
       std::string Kind = Arg.substr(15);
       if (Kind != "crash" && Kind != "terminate") {
@@ -371,8 +355,19 @@ bool parseArgs(int Argc, char **Argv, DriverOptions &Opts) {
   return Opts.Version || !Opts.FromStatsFile.empty() || !Opts.Files.empty();
 }
 
+/// Renders \p Doc into the file \p Path, logging an unwritable path.
+void writeOutput(const std::string &Path, const stats::StatsDocument &Doc,
+                 void (*Render)(const stats::StatsDocument &, std::ostream &)) {
+  std::ofstream Out(Path);
+  if (!Out)
+    logError("cannot write output file", {kv("path", Path)});
+  else
+    Render(Doc, Out);
+}
+
 /// Emits the collected telemetry at scope exit (so early-error paths
-/// still report whatever phases completed).
+/// still report whatever phases completed). Every output renders from
+/// one stats document snapshotted here.
 struct TelemetryEmitter {
   const Telemetry &Tel;
   const DriverOptions &Opts;
@@ -383,51 +378,28 @@ struct TelemetryEmitter {
   const stats::ProfilerSection *Profiler = nullptr;
 
   ~TelemetryEmitter() {
-    if (Opts.Metrics) {
-      if (Opts.MetricsFile.empty()) {
-        std::cout << "\n";
-        Tel.printMetrics(std::cout);
-      } else {
-        std::ofstream Out(Opts.MetricsFile);
-        if (!Out)
-          logError("cannot write output file",
-                   {kv("path", Opts.MetricsFile)});
-        else
-          Tel.printMetrics(Out);
-      }
-    }
-    if (ToStderr)
-      Tel.printMetrics(std::cerr);
-    if (!Opts.TraceJsonFile.empty()) {
-      std::ofstream Out(Opts.TraceJsonFile);
-      if (!Out)
-        logError("cannot write output file",
-                 {kv("path", Opts.TraceJsonFile)});
-      else
-        Tel.printChromeTrace(Out);
-    }
-    if (Opts.StatsJsonFile.empty() && Opts.ReportFile.empty())
+    if (!Opts.Metrics && !ToStderr && Opts.TraceJsonFile.empty() &&
+        Opts.StatsJsonFile.empty() && Opts.ReportFile.empty())
       return;
     stats::StatsDocument Doc = stats::buildStats(
         Tel, std::string("deadmember ") + kToolVersion,
         globalThreadPool().jobs());
     if (Profiler && Profiler->Present)
       Doc.Profiler = *Profiler;
-    if (!Opts.StatsJsonFile.empty()) {
-      std::ofstream Out(Opts.StatsJsonFile);
-      if (!Out)
-        logError("cannot write output file",
-                 {kv("path", Opts.StatsJsonFile)});
-      else
-        stats::printStats(Doc, Out);
+    if (Opts.Metrics && Opts.MetricsFile.empty()) {
+      std::cout << "\n";
+      stats::printMetrics(Doc, std::cout);
+    } else if (Opts.Metrics) {
+      writeOutput(Opts.MetricsFile, Doc, stats::printMetrics);
     }
-    if (!Opts.ReportFile.empty()) {
-      std::ofstream Out(Opts.ReportFile);
-      if (!Out)
-        logError("cannot write output file", {kv("path", Opts.ReportFile)});
-      else
-        stats::renderHtmlReport(Doc, Out);
-    }
+    if (ToStderr)
+      stats::printMetrics(Doc, std::cerr);
+    if (!Opts.TraceJsonFile.empty())
+      writeOutput(Opts.TraceJsonFile, Doc, stats::printChromeTrace);
+    if (!Opts.StatsJsonFile.empty())
+      writeOutput(Opts.StatsJsonFile, Doc, stats::printStats);
+    if (!Opts.ReportFile.empty())
+      writeOutput(Opts.ReportFile, Doc, stats::renderHtmlReport);
   }
 };
 
@@ -507,21 +479,22 @@ void printProfileReport(std::ostream &OS, const ProfileSummary &P) {
      << "  snapshots: " << P.Snapshots.size() << " (stride "
      << P.SnapshotStride << ")\n";
 
-  std::vector<const ProfileSiteRow *> Hot;
-  for (const ProfileSiteRow &Row : P.Sites)
+  std::vector<const stats::ProfilerSiteRow *> Hot;
+  for (const stats::ProfilerSiteRow &Row : P.Sites)
     if (Row.NeverReadBytes)
       Hot.push_back(&Row);
   if (Hot.empty())
     return;
   std::stable_sort(Hot.begin(), Hot.end(),
-                   [](const ProfileSiteRow *A, const ProfileSiteRow *B) {
+                   [](const stats::ProfilerSiteRow *A,
+                      const stats::ProfilerSiteRow *B) {
                      return A->NeverReadBytes > B->NeverReadBytes;
                    });
   constexpr size_t kMaxRows = 12;
   OS << "\ndead-byte heat (allocation sites by never-read member "
         "bytes):\n";
   for (size_t I = 0; I != Hot.size() && I != kMaxRows; ++I) {
-    const ProfileSiteRow &Row = *Hot[I];
+    const stats::ProfilerSiteRow &Row = *Hot[I];
     OS << "  " << Row.File << ":" << Row.Line << " " << Row.Class
        << " " << Row.Member << ": " << Row.NeverReadBytes << "/"
        << Row.AllocBytes << " bytes never read";
@@ -588,19 +561,6 @@ int main(int Argc, char **Argv) {
   if (Opts.Engine.empty())
     Opts.Engine = "vm";
   Telemetry Tel;
-  // --span-limit flag beats the DMM_SPAN_LIMIT env hook; unparsable
-  // env values are reported and ignored.
-  if (Opts.SpanLimit == 0)
-    if (const char *Env = std::getenv("DMM_SPAN_LIMIT"); Env && *Env) {
-      char *End = nullptr;
-      unsigned long long Limit = std::strtoull(Env, &End, 10);
-      if (*End || Limit == 0)
-        logWarn("ignoring invalid DMM_SPAN_LIMIT", {kv("value", Env)});
-      else
-        Opts.SpanLimit = Limit;
-    }
-  if (Opts.SpanLimit)
-    Tel.setSpanLimit(Opts.SpanLimit);
   std::optional<TelemetryScope> TelScope;
   if (Opts.Metrics || MetricsToStderr || !Opts.TraceJsonFile.empty() ||
       !Opts.StatsJsonFile.empty() || !Opts.ReportFile.empty())

@@ -29,6 +29,7 @@
 #include "telemetry/FlightRecorder.h"
 #include "telemetry/Json.h"
 #include "telemetry/Log.h"
+#include "telemetry/Stats.h"
 #include "telemetry/Telemetry.h"
 
 #include <cstdlib>
@@ -765,9 +766,10 @@ int main(int Argc, char **Argv) {
         !writeDistilledCorpus(Opts, Candidates))
       return 2;
   }
-  if (Opts.Metrics)
-    Tel.printMetrics(std::cout);
-  if (MetricsToStderr)
-    Tel.printMetrics(std::cerr);
+  if (Opts.Metrics || MetricsToStderr)
+    stats::printMetrics(
+        stats::buildStats(Tel, std::string("dmm-fuzz ") + kToolVersion,
+                          globalThreadPool().jobs()),
+        Opts.Metrics ? std::cout : std::cerr);
   return Failures ? 1 : 0;
 }

@@ -197,24 +197,15 @@ std::optional<std::string> firstEngineDivergence(const EngineObservation &T,
   if (TP.Snapshots.size() != VP.Snapshots.size())
     return Mismatch("snapshot count", std::to_string(TP.Snapshots.size()),
                     std::to_string(VP.Snapshots.size()));
-  for (size_t I = 0; I != TP.Snapshots.size(); ++I) {
-    const ProfileSnapshot &A = TP.Snapshots[I], &B = VP.Snapshots[I];
-    if (A.AllocEvent != B.AllocEvent || A.LiveBytes != B.LiveBytes ||
-        A.LiveBytesNoDead != B.LiveBytesNoDead ||
-        A.LiveObjects != B.LiveObjects)
+  for (size_t I = 0; I != TP.Snapshots.size(); ++I)
+    if (TP.Snapshots[I] != VP.Snapshots[I])
       return "profiler snapshot #" + std::to_string(I + 1) + " differs";
-  }
   if (TP.Sites.size() != VP.Sites.size())
     return Mismatch("site-table rows", std::to_string(TP.Sites.size()),
                     std::to_string(VP.Sites.size()));
   for (size_t I = 0; I != TP.Sites.size(); ++I) {
-    const ProfileSiteRow &A = TP.Sites[I], &B = VP.Sites[I];
-    if (A.File != B.File || A.Line != B.Line || A.Class != B.Class ||
-        A.Member != B.Member || A.Objects != B.Objects ||
-        A.AllocBytes != B.AllocBytes || A.WrittenBytes != B.WrittenBytes ||
-        A.ReadBytes != B.ReadBytes || A.AddrTakenBytes != B.AddrTakenBytes ||
-        A.NeverReadBytes != B.NeverReadBytes ||
-        A.StaticDead != B.StaticDead)
+    const stats::ProfilerSiteRow &A = TP.Sites[I];
+    if (A != VP.Sites[I])
       return "profiler site row " + A.File + ":" + std::to_string(A.Line) +
              " " + A.Class + "::" + A.Member + " differs";
   }

@@ -10,7 +10,6 @@
 #include "ast/Type.h"
 #include "support/Casting.h"
 #include "support/SourceManager.h"
-#include "telemetry/Stats.h"
 #include "telemetry/Telemetry.h"
 
 #include <algorithm>
@@ -151,8 +150,8 @@ void ShadowProfiler::takeSnapshot() {
     const uint64_t Stride = Sum.SnapshotStride;
     Sum.Snapshots.erase(
         std::remove_if(Sum.Snapshots.begin(), Sum.Snapshots.end(),
-                       [Stride](const ProfileSnapshot &S) {
-                         return S.AllocEvent % Stride != 0;
+                       [Stride](const stats::ProfilerSnapshotRow &S) {
+                         return S.Event % Stride != 0;
                        }),
         Sum.Snapshots.end());
     if (Sum.AllocEvents % Stride != 0)
@@ -244,7 +243,7 @@ void ShadowProfiler::foldObject(const AllocRecord &R, uint64_t ObjectID) {
   const SourceLocation Site = R.Site;
   for (const LeafInfo &Leaf : SO.CI->Leaves) {
     SiteKey Key{Site.fileID(), Site.offset(), SO.CI->CD, Leaf.Field};
-    SiteAccum &A = Cells[Key];
+    stats::ProfilerSiteRow &A = Cells[Key];
     uint8_t Flags = 0;
     for (const Range &Rg : Leaf.Ranges)
       for (uint64_t B = 0; B < Rg.Size; ++B)
@@ -295,8 +294,7 @@ const ProfileSummary &ShadowProfiler::finalize(const SourceManager *SM) {
 
   // Resolve cells into display rows and order them deterministically.
   Sum.Sites.reserve(Cells.size());
-  for (const auto &[Key, A] : Cells) {
-    ProfileSiteRow Row;
+  for (auto &[Key, Row] : Cells) {
     PresumedLoc Loc;
     if (SM)
       Loc = SM->presumedLoc(SourceLocation(Key.File, Key.Offset));
@@ -309,17 +307,11 @@ const ProfileSummary &ShadowProfiler::finalize(const SourceManager *SM) {
     }
     Row.Class = Key.CD->name();
     Row.Member = Key.Field->qualifiedName();
-    Row.Objects = A.Objects;
-    Row.AllocBytes = A.AllocBytes;
-    Row.WrittenBytes = A.WrittenBytes;
-    Row.ReadBytes = A.ReadBytes;
-    Row.AddrTakenBytes = A.AddrTakenBytes;
-    Row.NeverReadBytes = A.NeverReadBytes;
-    Row.StaticDead = A.StaticDead;
     Sum.Sites.push_back(std::move(Row));
   }
   std::sort(Sum.Sites.begin(), Sum.Sites.end(),
-            [](const ProfileSiteRow &L, const ProfileSiteRow &R) {
+            [](const stats::ProfilerSiteRow &L,
+               const stats::ProfilerSiteRow &R) {
               if (L.File != R.File)
                 return L.File < R.File;
               if (L.Line != R.Line)
@@ -368,26 +360,7 @@ stats::ProfilerSection dmm::toProfilerSection(const ProfileSummary &P) {
   S.LeakedObjects = P.LeakedObjects;
   S.PeakAllocEvent = P.PeakAllocEvent;
   S.SnapshotStride = P.SnapshotStride;
-  S.Snapshots.reserve(P.Snapshots.size());
-  for (const ProfileSnapshot &Snap : P.Snapshots)
-    S.Snapshots.push_back(
-        {Snap.AllocEvent, Snap.LiveBytes, Snap.LiveBytesNoDead,
-         Snap.LiveObjects});
-  S.Sites.reserve(P.Sites.size());
-  for (const ProfileSiteRow &Row : P.Sites) {
-    stats::ProfilerSiteRow Out;
-    Out.File = Row.File;
-    Out.Line = Row.Line;
-    Out.Class = Row.Class;
-    Out.Member = Row.Member;
-    Out.Objects = Row.Objects;
-    Out.AllocBytes = Row.AllocBytes;
-    Out.WrittenBytes = Row.WrittenBytes;
-    Out.ReadBytes = Row.ReadBytes;
-    Out.AddrTakenBytes = Row.AddrTakenBytes;
-    Out.NeverReadBytes = Row.NeverReadBytes;
-    Out.StaticDead = Row.StaticDead;
-    S.Sites.push_back(std::move(Out));
-  }
+  S.Snapshots = P.Snapshots;
+  S.Sites = P.Sites;
   return S;
 }

@@ -40,6 +40,7 @@
 
 #include "hierarchy/ObjectLayout.h"
 #include "support/SourceLocation.h"
+#include "telemetry/Stats.h"
 #include "trace/DynamicMetrics.h"
 
 #include <cstdint>
@@ -53,40 +54,12 @@ namespace dmm {
 class ClassHierarchy;
 class SourceManager;
 
-namespace stats {
-struct ProfilerSection;
-}
-
 /// Per-byte shadow states. A byte may carry any combination.
 enum ShadowBits : uint8_t {
   SB_Allocated = 1u << 0,
   SB_Written = 1u << 1,
   SB_Read = 1u << 2,
   SB_AddrTaken = 1u << 3,
-};
-
-/// One point on the high-water-mark timeline.
-struct ProfileSnapshot {
-  uint64_t AllocEvent = 0; ///< 1-based allocation-event index.
-  uint64_t LiveBytes = 0;
-  uint64_t LiveBytesNoDead = 0; ///< Live bytes after removing dead members.
-  uint64_t LiveObjects = 0;     ///< Live complete objects.
-};
-
-/// Byte attribution for one (allocation site, class, leaf member) cell.
-struct ProfileSiteRow {
-  std::string File; ///< "<unknown>" when the site has no location.
-  unsigned Line = 0;
-  std::string Class;  ///< Name of the allocated class.
-  std::string Member; ///< Qualified name of the leaf data member.
-  uint64_t Objects = 0;
-  uint64_t AllocBytes = 0;
-  uint64_t WrittenBytes = 0;
-  uint64_t ReadBytes = 0;
-  uint64_t AddrTakenBytes = 0;
-  uint64_t NeverReadBytes = 0; ///< Allocated but never read.
-  bool StaticDead = false;     ///< Member (or an enclosing member) is in
-                               ///< the analysis dead set.
 };
 
 /// Everything the profiler learned about one execution.
@@ -102,9 +75,9 @@ struct ProfileSummary {
   uint64_t WrittenBytes = 0;
   uint64_t AddrTakenBytes = 0;
   uint64_t NeverReadBytes = 0; ///< Leaf member bytes never read.
-  std::vector<ProfileSnapshot> Snapshots;
+  std::vector<stats::ProfilerSnapshotRow> Snapshots; ///< Event ascending.
   /// Sorted by (File, Line, Class, Member).
-  std::vector<ProfileSiteRow> Sites;
+  std::vector<stats::ProfilerSiteRow> Sites;
 };
 
 /// The shadow-memory profiler. Construct one per execution with the
@@ -196,16 +169,6 @@ private:
     uint64_t Count = 0;
     bool Counted = false; ///< Alloc event recorded.
   };
-  /// Accumulator for one (site, class, member) cell.
-  struct SiteAccum {
-    uint64_t Objects = 0;
-    uint64_t AllocBytes = 0;
-    uint64_t WrittenBytes = 0;
-    uint64_t ReadBytes = 0;
-    uint64_t AddrTakenBytes = 0;
-    uint64_t NeverReadBytes = 0;
-    bool StaticDead = false;
-  };
   struct SiteKey {
     uint32_t File = 0;
     uint32_t Offset = 0;
@@ -240,7 +203,8 @@ private:
   std::vector<AllocRecord> Records;
   std::unordered_map<uint64_t, uint32_t> LiveGroups; ///< FirstID -> record.
   std::unordered_map<uint64_t, ShadowObject> Shadows; ///< By ObjectID.
-  std::unordered_map<SiteKey, SiteAccum, SiteKeyHash> Cells;
+  /// Per-cell byte counts; finalize() fills in the names and location.
+  std::unordered_map<SiteKey, stats::ProfilerSiteRow, SiteKeyHash> Cells;
 
   ProfileSummary Sum;
   uint64_t LiveBytes = 0;

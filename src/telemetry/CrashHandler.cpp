@@ -343,11 +343,23 @@ void dmm::installCrashHandler(int Argc, const char *const *Argv,
     if (*Dir)
       copyBounded(CrashDir, Dir, sizeof(CrashDir));
 
+  // A stack overflow leaves no room on the faulting stack for the
+  // handler, so the installing (main) thread gets an alternate signal
+  // stack, allocated once here. Other threads keep running handlers on
+  // their own stacks (SA_ONSTACK is ignored where none is set).
+  constexpr size_t kAltStackBytes = 64 * 1024;
+  stack_t Alt;
+  memset(&Alt, 0, sizeof(Alt));
+  Alt.ss_sp = std::malloc(kAltStackBytes);
+  Alt.ss_size = kAltStackBytes;
+  if (Alt.ss_sp)
+    sigaltstack(&Alt, nullptr);
+
   struct sigaction SA;
   memset(&SA, 0, sizeof(SA));
   SA.sa_handler = crashSignalHandler;
   sigemptyset(&SA.sa_mask);
-  SA.sa_flags = SA_RESETHAND;
+  SA.sa_flags = SA_RESETHAND | SA_ONSTACK;
   for (int Sig : {SIGSEGV, SIGBUS, SIGABRT, SIGFPE, SIGILL})
     sigaction(Sig, &SA, nullptr);
   PrevTerminate = std::set_terminate(crashTerminateHandler);

@@ -17,21 +17,13 @@
 #include <cstdlib>
 #include <new>
 
-// The build probes for malloc_usable_size (and honors the
-// DMM_ENABLE_MEMACCT option) and defines DMM_MEMACCT_PLATFORM to 0/1;
-// see src/telemetry/CMakeLists.txt. Builds that bypass CMake fall back
-// to a glibc test. Either way a disabled build compiles this file to
-// plain push/pop bookkeeping with no allocator replacement, and
-// available() reports the gate so consumers (the stats document's
-// "memory_accounting" field, the telemetry.memacct.enabled counter)
-// can distinguish "zero bytes" from "not measured".
-#if defined(DMM_MEMACCT_PLATFORM)
-#define DMM_MEMACCT_ENABLED DMM_MEMACCT_PLATFORM
-#elif defined(__GLIBC__)
-#define DMM_MEMACCT_ENABLED 1
-#else
-#define DMM_MEMACCT_ENABLED 0
-#endif
+// The build probes for malloc_usable_size and defines
+// DMM_MEMACCT_ENABLED to 0/1; see src/telemetry/CMakeLists.txt. A
+// disabled build compiles this file to plain push/pop bookkeeping with
+// no allocator replacement, and available() reports the gate so
+// consumers (the stats document's "memory_accounting" field, the
+// telemetry.memacct.enabled counter) can distinguish "zero bytes" from
+// "not measured".
 
 #if DMM_MEMACCT_ENABLED
 #include <malloc.h>

@@ -21,11 +21,11 @@
 ///
 /// The disabled-path cost (no frame open on the thread) is one
 /// thread-local integer test per allocation. On platforms without
-/// malloc_usable_size (non-glibc) — or when configured with
-/// -DDMM_ENABLE_MEMACCT=OFF — the layer compiles to no-ops and every
-/// span reports zero bytes. Check available(); it is also surfaced as
-/// the "memory_accounting" stats field and the
-/// "telemetry.memacct.enabled" counter (a 0/1 gauge, not a sum).
+/// malloc_usable_size (non-glibc), which the build probes for, the
+/// layer compiles to no-ops and every span reports zero bytes. Check
+/// available(); it is also surfaced as the "memory_accounting" stats
+/// field and the "telemetry.memacct.enabled" counter (a 0/1 gauge, not
+/// a sum).
 ///
 //===----------------------------------------------------------------------===//
 

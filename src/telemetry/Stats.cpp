@@ -11,12 +11,25 @@
 #include "telemetry/Json.h"
 #include "telemetry/Log.h"
 #include "telemetry/MemoryAccounting.h"
-#include "telemetry/Telemetry.h"
 
-#include <algorithm>
+#include <iomanip>
 
 using namespace dmm;
 using namespace dmm::stats;
+
+namespace {
+
+/// Writes one span attribute as a JSON member ("key": value).
+void printArg(std::ostream &OS, const SpanArg &A) {
+  json::printString(OS, A.Key);
+  OS << ": ";
+  if (A.IsString)
+    json::printString(OS, A.StrValue);
+  else
+    OS << A.IntValue;
+}
+
+} // namespace
 
 StatsDocument stats::buildStats(const Telemetry &T, std::string Tool,
                                 unsigned Jobs) {
@@ -41,40 +54,10 @@ StatsDocument stats::buildStats(const Telemetry &T, std::string Tool,
   }
   D.Diagnostics.Crashes = crashReportsWritten();
 
-  for (const PhaseStat &P : T.phases())
-    D.Phases.push_back({P.Name, P.Nanos, P.Invocations});
-  std::stable_sort(D.Phases.begin(), D.Phases.end(),
-                   [](const PhaseRow &A, const PhaseRow &B) {
-                     return namespaceKeyLess(A.Name, B.Name);
-                   });
-
-  for (const auto &[Name, Value] : T.counters())
-    D.Counters.emplace_back(Name, Value);
-  std::stable_sort(D.Counters.begin(), D.Counters.end(),
-                   [](const auto &A, const auto &B) {
-                     return namespaceKeyLess(A.first, B.first);
-                   });
-
-  D.Spans.reserve(T.spans().size());
-  for (const SpanRecord &R : T.spans()) {
-    SpanStat S;
-    S.Id = R.Id;
-    S.Parent = R.Parent;
-    S.Name = R.Name;
-    S.StartNanos = R.StartNanos;
-    S.DurNanos = R.DurNanos;
-    S.CpuNanos = R.CpuNanos;
-    S.MemNetBytes = R.MemNetBytes;
-    S.MemPeakBytes = R.MemPeakBytes;
-    S.Depth = R.Depth;
-    for (const SpanArg &A : R.Args) {
-      if (A.IsString)
-        S.StrArgs.emplace_back(A.Key, A.StrValue);
-      else
-        S.IntArgs.emplace_back(A.Key, A.IntValue);
-    }
-    D.Spans.push_back(std::move(S));
-  }
+  D.Phases = T.phases();
+  D.Counters = T.counters();
+  D.Spans = T.spans();
+  D.SnapshotNanos = T.nowNanos();
   return D;
 }
 
@@ -149,26 +132,29 @@ void stats::printStats(const StatsDocument &D, std::ostream &OS) {
   }
 
   OS << "  \"phases\": [";
-  for (size_t I = 0; I != D.Phases.size(); ++I) {
-    const PhaseRow &P = D.Phases[I];
-    OS << (I ? "," : "") << "\n    {\"name\": ";
-    json::printString(OS, P.Name);
+  const char *Sep = "";
+  for (const auto &[Name, P] : D.Phases) {
+    OS << Sep << "\n    {\"name\": ";
+    Sep = ",";
+    json::printString(OS, Name);
     OS << ", \"wall_ns\": " << P.Nanos << ", \"calls\": " << P.Invocations
        << "}";
   }
   OS << (D.Phases.empty() ? "" : "\n  ") << "],\n";
 
   OS << "  \"counters\": {";
-  for (size_t I = 0; I != D.Counters.size(); ++I) {
-    OS << (I ? "," : "") << "\n    ";
-    json::printString(OS, D.Counters[I].first);
-    OS << ": " << D.Counters[I].second;
+  Sep = "";
+  for (const auto &[Name, Value] : D.Counters) {
+    OS << Sep << "\n    ";
+    Sep = ",";
+    json::printString(OS, Name);
+    OS << ": " << Value;
   }
   OS << (D.Counters.empty() ? "" : "\n  ") << "},\n";
 
   OS << "  \"spans\": [";
   for (size_t I = 0; I != D.Spans.size(); ++I) {
-    const SpanStat &S = D.Spans[I];
+    const SpanRecord &S = D.Spans[I];
     OS << (I ? "," : "") << "\n    {\"id\": " << S.Id
        << ", \"parent\": " << S.Parent << ", \"name\": ";
     json::printString(OS, S.Name);
@@ -176,28 +162,81 @@ void stats::printStats(const StatsDocument &D, std::ostream &OS) {
        << ", \"wall_ns\": " << S.DurNanos << ", \"cpu_ns\": " << S.CpuNanos
        << ", \"mem_net_bytes\": " << S.MemNetBytes
        << ", \"mem_peak_bytes\": " << S.MemPeakBytes;
-    if (!S.IntArgs.empty() || !S.StrArgs.empty()) {
+    if (!S.Args.empty()) {
+      // Numeric args first, then string args: the schema's layout.
       OS << ", \"args\": {";
-      bool First = true;
-      for (const auto &[K, V] : S.IntArgs) {
-        OS << (First ? "" : ", ");
-        First = false;
-        json::printString(OS, K);
-        OS << ": " << V;
-      }
-      for (const auto &[K, V] : S.StrArgs) {
-        OS << (First ? "" : ", ");
-        First = false;
-        json::printString(OS, K);
-        OS << ": ";
-        json::printString(OS, V);
-      }
+      Sep = "";
+      for (bool Strings : {false, true})
+        for (const SpanArg &A : S.Args)
+          if (A.IsString == Strings) {
+            OS << Sep;
+            Sep = ", ";
+            printArg(OS, A);
+          }
       OS << "}";
     }
     OS << "}";
   }
   OS << (D.Spans.empty() ? "" : "\n  ") << "]\n";
   OS << "}\n";
+}
+
+void stats::printMetrics(const StatsDocument &D, std::ostream &OS) {
+  auto Flags = OS.flags();
+  OS << "phase                                time (ms)      calls\n";
+  for (const auto &[Name, P] : D.Phases) {
+    std::string Label(2 + 2 * P.Depth, ' ');
+    Label += Name;
+    OS << std::left << std::setw(35) << Label << std::right
+       << std::setw(12) << std::fixed << std::setprecision(3)
+       << P.Nanos / 1e6 << std::setw(11) << P.Invocations << "\n";
+  }
+  if (!D.Counters.empty()) {
+    OS << "counter                                               value\n";
+    for (const auto &[Name, Value] : D.Counters)
+      OS << "  " << std::left << std::setw(42) << Name << std::right
+         << std::setw(13) << Value << "\n";
+  }
+  OS.flags(Flags);
+}
+
+void stats::printChromeTrace(const StatsDocument &D, std::ostream &OS) {
+  auto Flags = OS.flags();
+  OS << "{\"traceEvents\": [";
+  const char *Sep = "";
+  OS << std::fixed << std::setprecision(3);
+  for (const SpanRecord &S : D.Spans) {
+    OS << Sep << "\n  {\"name\": ";
+    Sep = ",";
+    json::printString(OS, S.Name);
+    OS << ", \"cat\": \"span\", \"ph\": \"X\", \"ts\": " << S.StartNanos / 1e3
+       << ", \"dur\": " << S.DurNanos / 1e3
+       << ", \"pid\": 1, \"tid\": 1, \"args\": {\"span_id\": " << S.Id
+       << ", \"parent\": " << S.Parent
+       << ", \"cpu_us\": " << S.CpuNanos / 1e3
+       << ", \"mem_peak_bytes\": " << S.MemPeakBytes
+       << ", \"mem_net_bytes\": " << S.MemNetBytes;
+    for (const SpanArg &A : S.Args) {
+      OS << ", ";
+      printArg(OS, A);
+    }
+    OS << "}}";
+  }
+  if (!D.Counters.empty()) {
+    OS << Sep << "\n  {\"name\": \"counters\", \"ph\": \"I\", \"ts\": "
+       << D.SnapshotNanos / 1e3 << ", \"s\": \"g\", \"pid\": 1, \"tid\": 1, "
+          "\"args\": {";
+    Sep = "";
+    for (const auto &[Name, Value] : D.Counters) {
+      OS << Sep;
+      Sep = ", ";
+      json::printString(OS, Name);
+      OS << ": " << Value;
+    }
+    OS << "}}";
+  }
+  OS << "\n], \"displayTimeUnit\": \"ms\"}\n";
+  OS.flags(Flags);
 }
 
 namespace {
@@ -404,9 +443,12 @@ bool stats::parseStats(std::string_view Text, StatsDocument &Out,
     if (!requireNumber(P, "wall_ns", Where, Error) ||
         !requireNumber(P, "calls", Where, Error))
       return false;
-    Out.Phases.push_back({Name->str(),
-                          static_cast<uint64_t>(P.getNumber("wall_ns")),
-                          static_cast<uint64_t>(P.getNumber("calls"))});
+    PhaseStat Phase;
+    Phase.Nanos = static_cast<uint64_t>(P.getNumber("wall_ns"));
+    Phase.Invocations = static_cast<uint64_t>(P.getNumber("calls"));
+    if (!Out.Phases.emplace(Name->str(), Phase).second)
+      return failParse(Error, Where + ": duplicate phase \"" + Name->str() +
+                                  "\"");
   }
 
   const json::Value *Counters = Root.get("counters");
@@ -415,7 +457,7 @@ bool stats::parseStats(std::string_view Text, StatsDocument &Out,
   for (const auto &[Name, V] : Counters->members()) {
     if (!V.isNumber())
       return failParse(Error, "counter \"" + Name + "\" is not numeric");
-    Out.Counters.emplace_back(Name, V.asUInt());
+    Out.Counters.emplace(Name, V.asUInt()); // json::parse rejects duplicates.
   }
 
   const json::Value *Spans = Root.get("spans");
@@ -433,7 +475,7 @@ bool stats::parseStats(std::string_view Text, StatsDocument &Out,
                             "cpu_ns", "mem_net_bytes", "mem_peak_bytes"})
       if (!requireNumber(SV, Key, Where, Error))
         return false;
-    SpanStat S;
+    SpanRecord S;
     S.Id = static_cast<uint64_t>(SV.getNumber("id"));
     S.Parent = static_cast<uint64_t>(SV.getNumber("parent"));
     S.Name = Name->str();
@@ -447,13 +489,18 @@ bool stats::parseStats(std::string_view Text, StatsDocument &Out,
       if (!Args->isObject())
         return failParse(Error, Where + ": \"args\" is not an object");
       for (const auto &[K, V] : Args->members()) {
-        if (V.isNumber())
-          S.IntArgs.emplace_back(K, V.asUInt());
-        else if (V.isString())
-          S.StrArgs.emplace_back(K, V.str());
-        else
+        SpanArg A;
+        A.Key = K;
+        if (V.isNumber()) {
+          A.IntValue = V.asUInt();
+        } else if (V.isString()) {
+          A.StrValue = V.str();
+          A.IsString = true;
+        } else {
           return failParse(Error, Where + ": arg \"" + K +
                                       "\" is neither number nor string");
+        }
+        S.Args.push_back(std::move(A));
       }
     }
 

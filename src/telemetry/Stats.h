@@ -5,12 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The tool's stable machine-readable performance output: a versioned
-/// document (schema "dmm-stats") holding per-span wall/cpu time and
-/// memory peaks, the flat phase aggregates, and every counter. Written
-/// by `--stats-json=FILE`, consumed by `scripts/run_bench.sh` (to
-/// compose BENCH_<label>.json), by `--report` (HTML rendering), and by
-/// the schema-validation tests.
+/// The one view model of a run's telemetry: a document holding per-span
+/// wall/cpu time and memory peaks, the flat phase aggregates, and every
+/// counter. Every rendered view reads it: `--metrics` (printMetrics),
+/// `--trace-json` (printChromeTrace), `--stats-json` (printStats, the
+/// versioned "dmm-stats" schema consumed by `scripts/run_bench.sh` and
+/// the schema-validation tests) and `--report` (telemetry/HtmlReport.h).
 ///
 /// Compatibility policy (see docs/OBSERVABILITY.md): within a major
 /// version, fields are only ever added, never removed or retyped;
@@ -19,27 +19,26 @@
 /// mem_net_bytes, mem_peak_bytes, and "jobs") vary run to run; all
 /// other fields are deterministic for a given input.
 ///
-/// StatsDocument is deliberately decoupled from the live Telemetry
-/// registry: it can be built from a registry (buildStats) or parsed
-/// back from a file (parseStats), so `--report --from-stats=FILE`
-/// works without re-running the pipeline.
+/// The document holds the registry's own record types (SpanRecord,
+/// PhaseStat, the name-ordered maps) rather than mirrors of them. It is
+/// either snapshotted from a registry (buildStats) or parsed back from
+/// a stats file (parseStats), so `--report --from-stats=FILE` works
+/// without re-running the pipeline.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef DMM_TELEMETRY_STATS_H
 #define DMM_TELEMETRY_STATS_H
 
+#include "telemetry/Telemetry.h"
+
 #include <cstdint>
 #include <ostream>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 namespace dmm {
-
-class Telemetry;
-
 namespace stats {
 
 inline constexpr const char kSchemaName[] = "dmm-stats";
@@ -53,49 +52,30 @@ inline constexpr const char kSchemaName[] = "dmm-stats";
 inline constexpr int kSchemaVersion = 3;
 inline constexpr int kMinSchemaVersion = 1;
 
-/// One span in the document (self-contained mirror of SpanRecord).
-struct SpanStat {
-  uint64_t Id = 0;
-  uint64_t Parent = 0;
-  std::string Name;
-  uint64_t StartNanos = 0;
-  uint64_t DurNanos = 0;
-  uint64_t CpuNanos = 0;
-  int64_t MemNetBytes = 0;
-  int64_t MemPeakBytes = 0;
-  unsigned Depth = 0;
-  std::vector<std::pair<std::string, uint64_t>> IntArgs;
-  std::vector<std::pair<std::string, std::string>> StrArgs;
-};
-
-/// One row of the flat phase aggregate.
-struct PhaseRow {
-  std::string Name;
-  uint64_t Nanos = 0;
-  uint64_t Invocations = 0;
-};
-
 /// One point of the shadow profiler's high-water-mark timeline (v2).
 struct ProfilerSnapshotRow {
   uint64_t Event = 0; ///< 1-based allocation-event index.
   uint64_t LiveBytes = 0;
-  uint64_t LiveBytesNoDead = 0;
-  uint64_t LiveObjects = 0;
+  uint64_t LiveBytesNoDead = 0; ///< Live bytes after removing dead members.
+  uint64_t LiveObjects = 0;     ///< Live complete objects.
+  bool operator==(const ProfilerSnapshotRow &) const = default;
 };
 
 /// One (allocation site, class, leaf member) attribution cell (v2).
 struct ProfilerSiteRow {
-  std::string File;
+  std::string File; ///< "<unknown>" when the site has no location.
   uint64_t Line = 0;
-  std::string Class;
-  std::string Member;
+  std::string Class;  ///< Name of the allocated class.
+  std::string Member; ///< Qualified name of the leaf data member.
   uint64_t Objects = 0;
   uint64_t AllocBytes = 0;
   uint64_t WrittenBytes = 0;
   uint64_t ReadBytes = 0;
   uint64_t AddrTakenBytes = 0;
-  uint64_t NeverReadBytes = 0;
-  bool StaticDead = false;
+  uint64_t NeverReadBytes = 0; ///< Allocated but never read.
+  bool StaticDead = false;     ///< Member (or an enclosing member) is in
+                               ///< the analysis dead set.
+  bool operator==(const ProfilerSiteRow &) const = default;
 };
 
 /// The optional "profiler" object introduced in schema version 2. All
@@ -144,9 +124,12 @@ struct StatsDocument {
   bool MemAccounting = false; ///< Platform supports heap accounting.
   ProfilerSection Profiler; ///< Present only when --profile ran (v2).
   DiagnosticsSection Diagnostics; ///< Filled by buildStats (v3).
-  std::vector<PhaseRow> Phases; ///< Sorted by (namespace, key).
-  std::vector<std::pair<std::string, uint64_t>> Counters; ///< Sorted.
-  std::vector<SpanStat> Spans; ///< In begin order; Spans[I].Id == I+1.
+  PhaseMap Phases;     ///< Depth is 0 in parsed documents.
+  CounterMap Counters;
+  std::vector<SpanRecord> Spans; ///< In begin order; Spans[I].Id == I+1.
+  /// Registry clock at buildStats time (0 in parsed documents); stamps
+  /// the trace's counter event. Not part of the stats schema.
+  uint64_t SnapshotNanos = 0;
 };
 
 /// Snapshots \p T into a document. Call after parallel regions have
@@ -156,6 +139,16 @@ StatsDocument buildStats(const Telemetry &T, std::string Tool,
 
 /// Writes the document as schema-versioned JSON.
 void printStats(const StatsDocument &D, std::ostream &OS);
+
+/// Writes the human-readable phase/counter table, rows in the
+/// documented name order, phases indented by tree depth.
+void printMetrics(const StatsDocument &D, std::ostream &OS);
+
+/// Writes Chrome trace-event JSON ({"traceEvents": [...]}, loadable in
+/// chrome://tracing or Perfetto): one duration event per span with its
+/// id, parent link, and memory/attribute args, then one instant event
+/// carrying every counter.
+void printChromeTrace(const StatsDocument &D, std::ostream &OS);
 
 /// Parses and validates a stats JSON document: strict JSON, schema
 /// name/version, required fields with correct types, span parent ids

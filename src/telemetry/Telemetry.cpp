@@ -8,12 +8,9 @@
 
 #include "support/ThreadPool.h"
 #include "telemetry/FlightRecorder.h"
-#include "telemetry/Json.h"
 #include "telemetry/MemoryAccounting.h"
 
 #include <algorithm>
-#include <iomanip>
-#include <string_view>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <time.h>
@@ -46,25 +43,14 @@ uint64_t threadCpuNanos() {
 #endif
 }
 
-/// Splits a dotted name into (namespace, key) for the documented
-/// metrics sort order: the namespace is everything before the first
-/// '.', the key the remainder.
-std::pair<std::string_view, std::string_view>
-splitNamespace(std::string_view Name) {
-  size_t Dot = Name.find('.');
-  if (Dot == std::string_view::npos)
-    return {Name, std::string_view()};
-  return {Name.substr(0, Dot), Name.substr(Dot + 1)};
-}
-
 } // namespace
 
-bool dmm::namespaceKeyLess(std::string_view A, std::string_view B) {
-  auto [NsA, KeyA] = splitNamespace(A);
-  auto [NsB, KeyB] = splitNamespace(B);
-  if (NsA != NsB)
-    return NsA < NsB;
-  return KeyA < KeyB;
+bool NamespaceOrder::operator()(std::string_view A, std::string_view B) const {
+  const size_t DotA = std::min(A.find('.'), A.size());
+  const size_t DotB = std::min(B.find('.'), B.size());
+  if (int C = A.substr(0, DotA).compare(B.substr(0, DotB)))
+    return C < 0;
+  return A.substr(DotA) < B.substr(DotB);
 }
 
 Telemetry::Telemetry()
@@ -130,10 +116,9 @@ uint64_t Telemetry::beginSpan(const char *Name, uint64_t Parent,
     Parent = 0;
   DepthOut = Parent ? Spans[Parent - 1].Depth + 1 : 0;
 
-  // First-activation aggregate entry, so phases() order is stable.
-  auto [It, Inserted] = PhaseIndex.try_emplace(Name, Phases.size());
-  if (Inserted)
-    Phases.push_back({Name, 0, 0, DepthOut});
+  // The aggregate exists from first activation, so a span still open
+  // at emission time lists with zero calls.
+  Phases.try_emplace(Name, PhaseStat{0, 0, DepthOut});
 
   if (Spans.size() >= SpanLimit) {
     ++SpansDropped;
@@ -150,11 +135,10 @@ uint64_t Telemetry::beginSpan(const char *Name, uint64_t Parent,
   return Spans.back().Id;
 }
 
-void Telemetry::endSpan(uint64_t Id, const char *Name, uint64_t StartNanos,
-                        uint64_t DurNanos, uint64_t CpuNanos,
-                        int64_t MemNetBytes, int64_t MemPeakBytes,
-                        unsigned Depth, std::vector<SpanArg> Args) {
-  (void)StartNanos;
+void Telemetry::endSpan(uint64_t Id, const char *Name, uint64_t DurNanos,
+                        uint64_t CpuNanos, int64_t MemNetBytes,
+                        int64_t MemPeakBytes, unsigned Depth,
+                        std::vector<SpanArg> Args) {
   std::lock_guard<std::mutex> Lock(Mu);
   if (Id != 0 && Id <= Spans.size()) {
     SpanRecord &R = Spans[Id - 1];
@@ -162,15 +146,9 @@ void Telemetry::endSpan(uint64_t Id, const char *Name, uint64_t StartNanos,
     R.CpuNanos = CpuNanos;
     R.MemNetBytes = MemNetBytes;
     R.MemPeakBytes = MemPeakBytes;
-    R.Closed = true;
     R.Args = std::move(Args);
   }
-  auto It = PhaseIndex.find(Name);
-  if (It == PhaseIndex.end()) // endSpan without beginSpan: tolerate.
-    It = PhaseIndex.try_emplace(Name, Phases.size()).first;
-  if (It->second == Phases.size())
-    Phases.push_back({Name, 0, 0, Depth});
-  PhaseStat &P = Phases[It->second];
+  PhaseStat &P = Phases.try_emplace(Name, PhaseStat{0, 0, Depth}).first->second;
   P.Nanos += DurNanos;
   ++P.Invocations;
   if (Depth < P.Depth)
@@ -200,13 +178,11 @@ void Telemetry::merge(const Telemetry &Other) {
     else
       Counters[Name] += Value;
   }
-  for (const PhaseStat &OP : Other.Phases) {
-    auto [It, Inserted] = PhaseIndex.try_emplace(OP.Name, Phases.size());
-    if (Inserted) {
-      Phases.push_back(OP);
+  for (const auto &[Name, OP] : Other.Phases) {
+    auto [It, Inserted] = Phases.try_emplace(Name, OP);
+    if (Inserted)
       continue;
-    }
-    PhaseStat &P = Phases[It->second];
+    PhaseStat &P = It->second;
     P.Nanos += OP.Nanos;
     P.Invocations += OP.Invocations;
     if (OP.Depth < P.Depth)
@@ -228,9 +204,9 @@ TelemetryShard::~TelemetryShard() {
     T->Counters[Name] += Delta;
 }
 
-const PhaseStat *Telemetry::phase(const std::string &Name) const {
-  auto It = PhaseIndex.find(Name);
-  return It == PhaseIndex.end() ? nullptr : &Phases[It->second];
+const PhaseStat *Telemetry::phase(std::string_view Name) const {
+  auto It = Phases.find(Name);
+  return It == Phases.end() ? nullptr : &It->second;
 }
 
 uint64_t Telemetry::counter(const std::string &Name) const {
@@ -269,7 +245,7 @@ Span::~Span() {
   const uint64_t End = T->nowNanos();
   uint64_t CpuEnd = threadCpuNanos();
   CurrentSpanTL = SavedParent;
-  T->endSpan(Id, Name, StartNanos, End > StartNanos ? End - StartNanos : 0,
+  T->endSpan(Id, Name, End > StartNanos ? End - StartNanos : 0,
              CpuEnd > CpuStart ? CpuEnd - CpuStart : 0, F.NetBytes,
              F.PeakBytes, Depth, std::move(Args));
 }
@@ -291,99 +267,4 @@ void Span::arg(const char *Key, std::string Value) {
   A.StrValue = std::move(Value);
   A.IsString = true;
   Args.push_back(std::move(A));
-}
-
-//===----------------------------------------------------------------------===//
-// Emitters
-//===----------------------------------------------------------------------===//
-
-void Telemetry::printMetrics(std::ostream &OS) const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  auto Flags = OS.flags();
-
-  // Documented stable sort: (namespace, key), where the namespace is
-  // the dotted prefix. First-activation order would vary with worker
-  // interleaving at --jobs > 1.
-  std::vector<const PhaseStat *> Sorted;
-  Sorted.reserve(Phases.size());
-  for (const PhaseStat &P : Phases)
-    Sorted.push_back(&P);
-  std::stable_sort(Sorted.begin(), Sorted.end(),
-                   [](const PhaseStat *A, const PhaseStat *B) {
-                     return namespaceKeyLess(A->Name, B->Name);
-                   });
-
-  OS << "phase                                time (ms)      calls\n";
-  for (const PhaseStat *P : Sorted) {
-    std::string Label(2 + 2 * P->Depth, ' ');
-    Label += P->Name;
-    OS << std::left << std::setw(35) << Label << std::right
-       << std::setw(12) << std::fixed << std::setprecision(3)
-       << P->Nanos / 1e6 << std::setw(11) << P->Invocations << "\n";
-  }
-  if (!Counters.empty()) {
-    std::vector<const std::pair<const std::string, uint64_t> *> Rows;
-    Rows.reserve(Counters.size());
-    for (const auto &KV : Counters)
-      Rows.push_back(&KV);
-    std::stable_sort(Rows.begin(), Rows.end(),
-                     [](const auto *A, const auto *B) {
-                       return namespaceKeyLess(A->first, B->first);
-                     });
-    OS << "counter                                               value\n";
-    for (const auto *KV : Rows)
-      OS << "  " << std::left << std::setw(42) << KV->first << std::right
-         << std::setw(13) << KV->second << "\n";
-  }
-  OS.flags(Flags);
-}
-
-void Telemetry::printChromeTrace(std::ostream &OS) const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  auto Flags = OS.flags();
-  OS << "{\"traceEvents\": [";
-  bool First = true;
-  OS << std::fixed << std::setprecision(3);
-  for (const SpanRecord &S : Spans) {
-    if (!First)
-      OS << ",";
-    First = false;
-    OS << "\n  {\"name\": ";
-    json::printString(OS, S.Name);
-    OS << ", \"cat\": \"span\", \"ph\": \"X\", \"ts\": " << S.StartNanos / 1e3
-       << ", \"dur\": " << S.DurNanos / 1e3
-       << ", \"pid\": 1, \"tid\": 1, \"args\": {\"span_id\": " << S.Id
-       << ", \"parent\": " << S.Parent
-       << ", \"cpu_us\": " << S.CpuNanos / 1e3
-       << ", \"mem_peak_bytes\": " << S.MemPeakBytes
-       << ", \"mem_net_bytes\": " << S.MemNetBytes;
-    for (const SpanArg &A : S.Args) {
-      OS << ", ";
-      json::printString(OS, A.Key);
-      OS << ": ";
-      if (A.IsString)
-        json::printString(OS, A.StrValue);
-      else
-        OS << A.IntValue;
-    }
-    OS << "}}";
-  }
-  if (!Counters.empty()) {
-    if (!First)
-      OS << ",";
-    OS << "\n  {\"name\": \"counters\", \"ph\": \"I\", \"ts\": "
-       << nowNanos() / 1e3 << ", \"s\": \"g\", \"pid\": 1, \"tid\": 1, "
-          "\"args\": {";
-    bool FirstArg = true;
-    for (const auto &[Name, Value] : Counters) {
-      if (!FirstArg)
-        OS << ", ";
-      FirstArg = false;
-      json::printString(OS, Name);
-      OS << ": " << Value;
-    }
-    OS << "}}";
-  }
-  OS << "\n], \"displayTimeUnit\": \"ms\"}\n";
-  OS.flags(Flags);
 }

@@ -7,11 +7,11 @@
 /// \file
 /// Low-overhead observability for the deadmember pipeline: a registry of
 /// hierarchical spans (RAII, parent/child links, per-span wall/cpu time
-/// and memory accounting) and named counters, with emitters for a
-/// human-readable phase/counter table and Chrome trace-event JSON
-/// (loadable in chrome://tracing or Perfetto). The versioned stats
-/// schema and the HTML report renderer build on this registry — see
-/// telemetry/Stats.h and docs/OBSERVABILITY.md.
+/// and memory accounting) and named counters. The registry renders
+/// nothing itself: stats::buildStats (telemetry/Stats.h) snapshots it
+/// into the one document every view is rendered from — the metrics
+/// table, the Chrome trace, the stats JSON and the HTML report (see
+/// docs/OBSERVABILITY.md).
 ///
 /// Telemetry is off by default. Instrumentation sites test one global
 /// pointer (`Telemetry::Active`); when no registry is installed via
@@ -52,7 +52,6 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <ostream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -61,14 +60,27 @@ namespace dmm {
 
 class TelemetryShard;
 
+/// The documented order of phase and counter names: by namespace (the
+/// dotted prefix before the first '.'), then by the rest of the name,
+/// dot included, so distinct names never compare equal. Every view
+/// lists phases and counters in this order, at any --jobs level.
+struct NamespaceOrder {
+  using is_transparent = void;
+  bool operator()(std::string_view A, std::string_view B) const;
+};
+
 /// Accumulated cost of one span name (the flat per-phase view kept for
 /// the --metrics table and the benchmark counter exports).
 struct PhaseStat {
-  std::string Name;
   uint64_t Nanos = 0;       ///< Total inclusive wall time.
   uint64_t Invocations = 0; ///< Completed Span activations.
   unsigned Depth = 0;       ///< Minimum tree depth observed.
 };
+
+/// Phase aggregates by span name, in the documented order.
+using PhaseMap = std::map<std::string, PhaseStat, NamespaceOrder>;
+/// Counter totals by name, in the documented order.
+using CounterMap = std::map<std::string, uint64_t, NamespaceOrder>;
 
 /// One key/value attribute attached to a span. Values are either
 /// unsigned integers (counts, bytes, flags) or strings (file names).
@@ -92,8 +104,7 @@ struct SpanRecord {
   int64_t MemNetBytes = 0;   ///< Allocated minus freed while open.
   int64_t MemPeakBytes = 0;  ///< Peak net heap growth while open.
   unsigned Depth = 0;        ///< Tree depth (root = 0).
-  bool Closed = false;       ///< False only for spans still open.
-  std::vector<SpanArg> Args;
+  std::vector<SpanArg> Args; ///< In attachment order.
 };
 
 /// The span/counter registry. Install with TelemetryScope; instrument
@@ -127,10 +138,9 @@ public:
   /// Closes span \p Id with its measured costs and attributes, and
   /// folds the interval into the per-name aggregate. \p Id may be 0
   /// (dropped span): only the aggregate is updated then.
-  void endSpan(uint64_t Id, const char *Name, uint64_t StartNanos,
-               uint64_t DurNanos, uint64_t CpuNanos, int64_t MemNetBytes,
-               int64_t MemPeakBytes, unsigned Depth,
-               std::vector<SpanArg> Args);
+  void endSpan(uint64_t Id, const char *Name, uint64_t DurNanos,
+               uint64_t CpuNanos, int64_t MemNetBytes, int64_t MemPeakBytes,
+               unsigned Depth, std::vector<SpanArg> Args);
   /// @}
 
   /// Nanoseconds since this registry was created (monotonic clock).
@@ -151,14 +161,11 @@ public:
   /// Read the registry after parallel regions have completed (the
   /// returned references are not snapshots).
   /// @{
-  /// Phase aggregates in first-activation order.
-  const std::vector<PhaseStat> &phases() const { return Phases; }
+  const PhaseMap &phases() const { return Phases; }
   /// Null if no span named \p Name ever began.
-  const PhaseStat *phase(const std::string &Name) const;
+  const PhaseStat *phase(std::string_view Name) const;
 
-  const std::map<std::string, uint64_t> &counters() const {
-    return Counters;
-  }
+  const CounterMap &counters() const { return Counters; }
   /// 0 if the counter was never touched.
   uint64_t counter(const std::string &Name) const;
 
@@ -166,14 +173,6 @@ public:
   /// Id == I + 1.
   const std::vector<SpanRecord> &spans() const { return Spans; }
   /// @}
-
-  /// Writes the human-readable phase/counter table. Rows are sorted by
-  /// (namespace, key) — the namespace is the dotted prefix before the
-  /// first '.' — so output is deterministic at any --jobs level.
-  void printMetrics(std::ostream &OS) const;
-  /// Writes Chrome trace-event JSON ({"traceEvents": [...]}) with span
-  /// ids, parent links, and memory/attribute args.
-  void printChromeTrace(std::ostream &OS) const;
 
 private:
   friend class TelemetryScope;
@@ -183,9 +182,8 @@ private:
 
   std::chrono::steady_clock::time_point Epoch;
   mutable std::mutex Mu; ///< Guards all fields below.
-  std::vector<PhaseStat> Phases;
-  std::map<std::string, size_t> PhaseIndex;
-  std::map<std::string, uint64_t> Counters;
+  PhaseMap Phases;
+  CounterMap Counters;
   std::vector<SpanRecord> Spans;
   size_t SpanLimit;
   uint64_t SpansDropped = 0;
@@ -261,11 +259,6 @@ private:
   uint64_t CpuStart = 0;
   std::vector<SpanArg> Args;
 };
-
-/// The documented sort order of phase and counter names: by
-/// (namespace, key), where the namespace is the dotted prefix before
-/// the first '.'. The metrics table and the stats document share it.
-bool namespaceKeyLess(std::string_view A, std::string_view B);
 
 } // namespace dmm
 

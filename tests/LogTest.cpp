@@ -9,7 +9,7 @@
 /// sink formats, per-level counters), the per-thread flight recorder
 /// (ring wrap-around, span markers, the open-span stack), and the
 /// crash-report writer validated through the tool's own strict JSON
-/// parser.
+/// parser, including a report written from a stack overflow.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,13 +21,17 @@
 
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 #ifndef _WIN32
 #include <fcntl.h>
+#include <sys/resource.h>
 #include <unistd.h>
 #endif
 
@@ -311,6 +315,73 @@ TEST(CrashReport, WriteCrashReportEmitsValidJson) {
   EXPECT_GE(Counters->getNumber("log_error"), 1.0);
   // No crash actually happened in this process.
   EXPECT_EQ(crashReportsWritten(), 0u);
+}
+
+/// Cleared never; read through a volatile so the recursion below has a
+/// visible exit and compiles without an infinite-recursion warning.
+volatile bool KeepRecursing = true;
+
+/// Recurses until the stack runs out. Not a tail call, and each frame
+/// keeps a volatile buffer, so every level consumes real stack.
+int recurseWithoutBound(int Depth) {
+  volatile char Frame[512];
+  Frame[0] = static_cast<char>(Depth);
+  if (!KeepRecursing)
+    return Frame[0];
+  return recurseWithoutBound(Depth + 1) + Frame[0];
+}
+
+/// The doomed child of the death test below: installs the crash
+/// handler on this (main) thread, then overflows the stack.
+void overflowStackUnderCrashHandler(const std::string &CrashDir) {
+  // Keep the overflow small: a 1 MiB stack fills in microseconds.
+  struct rlimit Stack;
+  getrlimit(RLIMIT_STACK, &Stack);
+  if (Stack.rlim_cur == RLIM_INFINITY || Stack.rlim_cur > (1u << 20))
+    Stack.rlim_cur = 1u << 20;
+  setrlimit(RLIMIT_STACK, &Stack);
+  ::setenv("DMM_CRASH_DIR", CrashDir.c_str(), 1);
+  static const char *const Argv[] = {"dmm_tests", nullptr};
+  FlightRecorder::install();
+  installCrashHandler(1, Argv, "dmm_tests", "test");
+  Span Root("pipeline");
+  recurseWithoutBound(0);
+}
+
+TEST(CrashReport, StackOverflowStillWritesReport) {
+  // The child re-executes this test alone, so the handler it installs
+  // is its own, on its main thread.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  namespace fs = std::filesystem;
+  const fs::path Dir = fs::absolute("crash_overflow_test");
+  fs::remove_all(Dir);
+  fs::create_directories(Dir);
+
+  EXPECT_EXIT(overflowStackUnderCrashHandler(Dir.string()),
+              testing::KilledBySignal(SIGSEGV), "crash report written");
+
+  std::string Text;
+  for (const fs::directory_entry &E : fs::directory_iterator(Dir)) {
+    ASSERT_TRUE(Text.empty()) << "more than one crash report";
+    ASSERT_EQ(E.path().filename().string().rfind("dmm-crash-", 0), 0u);
+    std::ifstream In(E.path());
+    std::ostringstream SS;
+    SS << In.rdbuf();
+    Text = SS.str();
+  }
+  fs::remove_all(Dir);
+
+  json::Value V;
+  std::string Error;
+  ASSERT_TRUE(json::parse(Text, V, Error)) << Error << "\n" << Text;
+  EXPECT_EQ(V.getString("schema"), kCrashSchemaName);
+  EXPECT_EQ(V.getNumber("version"), kCrashSchemaVersion);
+  EXPECT_EQ(V.getString("reason"), "SIGSEGV");
+  const json::Value *SpanStack = V.get("span_stack");
+  ASSERT_NE(SpanStack, nullptr);
+  ASSERT_TRUE(SpanStack->isArray());
+  ASSERT_FALSE(SpanStack->array().empty());
+  EXPECT_EQ(SpanStack->array().back().str(), "pipeline");
 }
 
 #endif // !_WIN32

@@ -55,9 +55,9 @@ ProfiledRun runProfiled(Compilation &C, const DeadMemberResult &R,
   return Out;
 }
 
-const ProfileSiteRow *findSite(const ProfileSummary &P,
-                               const std::string &Member) {
-  for (const ProfileSiteRow &Row : P.Sites)
+const stats::ProfilerSiteRow *findSite(const ProfileSummary &P,
+                                       const std::string &Member) {
+  for (const stats::ProfilerSiteRow &Row : P.Sites)
     if (Row.Member == Member)
       return &Row;
   return nullptr;
@@ -152,8 +152,8 @@ TEST(Profiler, AgreesOnInheritanceAndMemberClasses) {
   const ProfileSummary &P = Run.Prof->summary();
   // Leaf members of the nested class are attributed to the Outer
   // allocation site under their own qualified names.
-  const ProfileSiteRow *I1 = findSite(P, "Inner::i1");
-  const ProfileSiteRow *I2 = findSite(P, "Inner::i2");
+  const stats::ProfilerSiteRow *I1 = findSite(P, "Inner::i1");
+  const stats::ProfilerSiteRow *I2 = findSite(P, "Inner::i2");
   ASSERT_NE(I1, nullptr);
   ASSERT_NE(I2, nullptr);
   EXPECT_EQ(I1->Class, "Outer");
@@ -184,14 +184,14 @@ TEST(Profiler, AttributesNeverReadBytesPerSite) {
   EXPECT_EQ(Run.Prof->metrics(), Run.Replayed);
   const ProfileSummary &P = Run.Prof->summary();
 
-  const ProfileSiteRow *Used = findSite(P, "P::used");
+  const stats::ProfilerSiteRow *Used = findSite(P, "P::used");
   ASSERT_NE(Used, nullptr);
   EXPECT_EQ(Used->Objects, 1u);
   EXPECT_EQ(Used->ReadBytes, Used->AllocBytes);
   EXPECT_EQ(Used->NeverReadBytes, 0u);
   EXPECT_FALSE(Used->StaticDead);
 
-  const ProfileSiteRow *WO = findSite(P, "P::writeOnly");
+  const stats::ProfilerSiteRow *WO = findSite(P, "P::writeOnly");
   ASSERT_NE(WO, nullptr);
   EXPECT_EQ(WO->WrittenBytes, WO->AllocBytes);
   EXPECT_EQ(WO->ReadBytes, 0u);
@@ -223,8 +223,8 @@ TEST(Profiler, MarksAddressTakenBytes) {
   ProfiledRun Run = runProfiled(*C, R);
   EXPECT_EQ(Run.Prof->metrics(), Run.Replayed);
   const ProfileSummary &P = Run.Prof->summary();
-  const ProfileSiteRow *X = findSite(P, "V::x");
-  const ProfileSiteRow *Y = findSite(P, "V::y");
+  const stats::ProfilerSiteRow *X = findSite(P, "V::x");
+  const stats::ProfilerSiteRow *Y = findSite(P, "V::y");
   ASSERT_NE(X, nullptr);
   ASSERT_NE(Y, nullptr);
   EXPECT_EQ(X->AddrTakenBytes, X->AllocBytes);
@@ -257,7 +257,7 @@ TEST(Profiler, DeallocationReadsStayUnread) {
   ProfiledRun Run = runProfiled(*C, R);
   EXPECT_EQ(Run.Prof->metrics(), Run.Replayed);
   const ProfileSummary &P = Run.Prof->summary();
-  const ProfileSiteRow *Owned = findSite(P, "Holder::owned");
+  const stats::ProfilerSiteRow *Owned = findSite(P, "Holder::owned");
   ASSERT_NE(Owned, nullptr);
   EXPECT_EQ(Owned->ReadBytes, 0u);
   EXPECT_EQ(Owned->NeverReadBytes, Owned->AllocBytes);
@@ -298,12 +298,12 @@ TEST(Profiler, SnapshotScheduleDoublesAndStaysMonotone) {
   ASSERT_FALSE(P.Snapshots.empty());
   EXPECT_LE(P.Snapshots.size(), 256u);
   uint64_t Prev = 0;
-  for (const ProfileSnapshot &S : P.Snapshots) {
-    EXPECT_GT(S.AllocEvent, Prev);
-    EXPECT_EQ(S.AllocEvent % P.SnapshotStride, 0u);
+  for (const stats::ProfilerSnapshotRow &S : P.Snapshots) {
+    EXPECT_GT(S.Event, Prev);
+    EXPECT_EQ(S.Event % P.SnapshotStride, 0u);
     EXPECT_LE(S.LiveBytes, P.Metrics.HighWaterMark);
     EXPECT_LE(S.LiveBytesNoDead, S.LiveBytes);
-    Prev = S.AllocEvent;
+    Prev = S.Event;
   }
 }
 

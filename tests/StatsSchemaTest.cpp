@@ -20,6 +20,7 @@
 #include "telemetry/Telemetry.h"
 
 #include <sstream>
+#include <utility>
 
 using namespace dmm;
 using namespace dmm::test;
@@ -92,10 +93,13 @@ void runPipeline(Telemetry &Tel) {
   analyze(*C);
 }
 
-std::string statsJsonForJobs(unsigned Jobs) {
+/// A nonzero \p SpanLimit caps the registry's retained span records.
+std::string statsJsonForJobs(unsigned Jobs, size_t SpanLimit = 0) {
   const unsigned Prev = globalThreadPool().jobs();
   setGlobalJobs(Jobs);
   Telemetry Tel;
+  if (SpanLimit)
+    Tel.setSpanLimit(SpanLimit);
   runPipeline(Tel);
   setGlobalJobs(Prev);
   stats::StatsDocument D = stats::buildStats(Tel, "deadmember test", Jobs);
@@ -123,37 +127,43 @@ TEST(StatsSchema, RoundTripFromLivePipeline) {
   // The driver-stable phase names survive the round trip.
   for (const char *Name : {"pipeline", "lex", "parse", "sema", "callgraph",
                            "analysis"}) {
-    bool Found = false;
-    for (const stats::PhaseRow &P : D.Phases)
-      Found = Found || P.Name == Name;
-    EXPECT_TRUE(Found) << "missing phase " << Name;
+    EXPECT_EQ(D.Phases.count(Name), 1u) << "missing phase " << Name;
   }
 
   // The pipeline span is the root; pipeline children link to it.
   ASSERT_EQ(D.Spans[0].Name, "pipeline");
   EXPECT_EQ(D.Spans[0].Parent, 0u);
   size_t Children = 0;
-  for (const stats::SpanStat &S : D.Spans)
+  for (const SpanRecord &S : D.Spans)
     if (S.Parent == D.Spans[0].Id)
       ++Children;
   EXPECT_GT(Children, 0u);
 }
 
 TEST(StatsSchema, NoOrphanSpansAtAnyJobsLevel) {
-  for (unsigned Jobs : {1u, 4u}) {
-    std::string Text = statsJsonForJobs(Jobs);
+  // The last input is a registry capped at 4 span records: the spans
+  // it dropped surface as a counter, and the document stays valid.
+  const std::pair<unsigned, size_t> Inputs[] = {{1, 0}, {4, 0}, {1, 4}};
+  for (const auto &[Jobs, SpanLimit] : Inputs) {
+    std::string Text = statsJsonForJobs(Jobs, SpanLimit);
     stats::StatsDocument D;
     std::string Error;
     // parseStats enforces dense begin-ordered ids and parent-precedes-
     // child, so a successful parse proves every parent resolves.
     ASSERT_TRUE(stats::parseStats(Text, D, Error))
         << "jobs=" << Jobs << ": " << Error;
-    for (const stats::SpanStat &S : D.Spans) {
+    for (const SpanRecord &S : D.Spans) {
       EXPECT_LT(S.Parent, S.Id) << "jobs=" << Jobs;
       if (S.Name != "pipeline") {
         EXPECT_NE(S.Parent, 0u)
             << "orphan span '" << S.Name << "' at jobs=" << Jobs;
       }
+    }
+    if (SpanLimit) {
+      EXPECT_LE(D.Spans.size(), SpanLimit);
+      auto Dropped = D.Counters.find("telemetry.spans_dropped");
+      ASSERT_NE(Dropped, D.Counters.end());
+      EXPECT_GT(Dropped->second, 0u);
     }
   }
 }
@@ -180,6 +190,10 @@ TEST(StatsSchema, ValidationRejectsSchemaViolations) {
   EXPECT_TRUE(Replaced("\"memory_accounting\"", "\"renamed_field\""));
   // First span id rewritten: ids are no longer dense.
   EXPECT_TRUE(Replaced("{\"id\": 1,", "{\"id\": 7,"));
+  // A phase name listed twice.
+  EXPECT_TRUE(Replaced("\"phases\": [",
+                       "\"phases\": [{\"name\": \"lex\", \"wall_ns\": 1, "
+                       "\"calls\": 1},"));
   EXPECT_TRUE(jsonParseFails(Good + "x"));
 }
 
@@ -350,7 +364,7 @@ TEST(StatsSchema, TraceJsonIsStrictlyParseable) {
   Telemetry Tel;
   runPipeline(Tel);
   std::ostringstream OS;
-  Tel.printChromeTrace(OS);
+  stats::printChromeTrace(stats::buildStats(Tel, "deadmember test", 1), OS);
   json::Value V;
   std::string Error;
   ASSERT_TRUE(json::parse(OS.str(), V, Error)) << Error;
@@ -382,7 +396,7 @@ stats::StatsDocument syntheticDoc() {
   const char *Names[] = {"pipeline", "lex", "analysis", "lex.file",
                          "analysis.scan"};
   for (uint64_t I = 0; I != 5; ++I) {
-    stats::SpanStat S;
+    SpanRecord S;
     S.Id = I + 1;
     S.Parent = I; // Chain: each span under the previous one.
     S.Name = Names[I];
@@ -391,13 +405,18 @@ stats::StatsDocument syntheticDoc() {
     S.DurNanos = (5 - I) * 1000000;
     S.CpuNanos = S.DurNanos / 2;
     S.MemPeakBytes = static_cast<int64_t>((I + 1) * 4096);
-    if (S.Name == std::string("lex.file"))
-      S.StrArgs.emplace_back("file", "suite/a.mcc");
+    if (S.Name == std::string("lex.file")) {
+      SpanArg File;
+      File.Key = "file";
+      File.StrValue = "suite/a.mcc";
+      File.IsString = true;
+      S.Args.push_back(File);
+    }
     D.Spans.push_back(std::move(S));
   }
-  D.Phases.push_back({"analysis", 3000000, 1});
-  D.Counters.emplace_back("analysis.exprs_visited", 42);
-  D.Counters.emplace_back("analysis.live_members", 7);
+  D.Phases["analysis"] = {3000000, 1, 0};
+  D.Counters["analysis.exprs_visited"] = 42;
+  D.Counters["analysis.live_members"] = 7;
   return D;
 }
 
@@ -440,7 +459,7 @@ TEST(HtmlReport, RendersProfilerSections) {
 
 TEST(HtmlReport, EscapesUntrustedNames) {
   stats::StatsDocument D = syntheticDoc();
-  D.Spans[3].StrArgs[0].second = "<script>alert(1)</script>";
+  D.Spans[3].Args[0].StrValue = "<script>alert(1)</script>";
   std::ostringstream OS;
   stats::renderHtmlReport(D, OS);
   EXPECT_EQ(OS.str().find("<script>alert"), std::string::npos);

@@ -123,15 +123,16 @@ void expectSameRun(const EngineRun &T, const EngineRun &V) {
   EXPECT_EQ(T.Prof.NeverReadBytes, V.Prof.NeverReadBytes);
   ASSERT_EQ(T.Prof.Snapshots.size(), V.Prof.Snapshots.size());
   for (size_t I = 0; I != T.Prof.Snapshots.size(); ++I) {
-    const ProfileSnapshot &A = T.Prof.Snapshots[I], &B = V.Prof.Snapshots[I];
-    EXPECT_EQ(A.AllocEvent, B.AllocEvent) << "snapshot #" << I;
+    const stats::ProfilerSnapshotRow &A = T.Prof.Snapshots[I],
+                                     &B = V.Prof.Snapshots[I];
+    EXPECT_EQ(A.Event, B.Event) << "snapshot #" << I;
     EXPECT_EQ(A.LiveBytes, B.LiveBytes) << "snapshot #" << I;
     EXPECT_EQ(A.LiveBytesNoDead, B.LiveBytesNoDead) << "snapshot #" << I;
     EXPECT_EQ(A.LiveObjects, B.LiveObjects) << "snapshot #" << I;
   }
   ASSERT_EQ(T.Prof.Sites.size(), V.Prof.Sites.size());
   for (size_t I = 0; I != T.Prof.Sites.size(); ++I) {
-    const ProfileSiteRow &A = T.Prof.Sites[I], &B = V.Prof.Sites[I];
+    const stats::ProfilerSiteRow &A = T.Prof.Sites[I], &B = V.Prof.Sites[I];
     EXPECT_EQ(A.File, B.File) << "site row #" << I;
     EXPECT_EQ(A.Line, B.Line) << "site row #" << I;
     EXPECT_EQ(A.Class, B.Class) << "site row #" << I;
