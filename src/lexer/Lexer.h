@@ -10,6 +10,11 @@
 /// the DiagnosticsEngine and yield Unknown tokens, which the parser treats
 /// as hard errors.
 ///
+/// Tokens carry no decoded payload. A literal's value is decoded from its
+/// spelling by the static helpers below when the parser builds the
+/// literal node; they assume a token this lexer accepted, so they never
+/// diagnose (the lexer already did, once).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DMM_LEXER_LEXER_H
@@ -17,6 +22,7 @@
 
 #include "lexer/Token.h"
 
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -34,9 +40,25 @@ public:
   /// Lexes and returns the next token; returns EndOfFile forever at the end.
   Token lex();
 
-  /// Lexes the whole buffer (convenience for tests). The trailing
-  /// EndOfFile token is included.
+  /// Lexes the whole buffer. The trailing EndOfFile token is included.
   std::vector<Token> lexAll();
+
+  /// \name On-demand token decoding
+  /// @{
+  /// The spelling of \p T within \p Buffer, the text of the buffer \p T
+  /// was lexed from.
+  static std::string_view spelling(std::string_view Buffer, const Token &T) {
+    return Buffer.substr(T.Loc.offset(), T.Length);
+  }
+  /// Value of an IntLiteral spelling; saturates at LLONG_MAX like strtoll.
+  static long long intValue(std::string_view Spelling);
+  /// Value of a DoubleLiteral spelling.
+  static double doubleValue(std::string_view Spelling);
+  /// Value of a CharLiteral spelling (quotes included); `''` is 0.
+  static char charValue(std::string_view Spelling);
+  /// Unescaped contents of a StringLiteral spelling (quotes included).
+  static std::string stringValue(std::string_view Spelling);
+  /// @}
 
 private:
   char peek(unsigned LookAhead = 0) const;
@@ -50,8 +72,9 @@ private:
   Token lexNumber();
   Token lexCharLiteral();
   Token lexStringLiteral();
-  /// Decodes an escape sequence after the backslash; returns the character.
-  char lexEscape();
+  /// Consumes the escape sequence after a backslash, diagnosing a
+  /// missing or unknown one.
+  void lexEscape();
 
   const SourceManager &SM;
   DiagnosticsEngine &Diags;

@@ -14,13 +14,12 @@
 
 #include "support/SourceLocation.h"
 
-#include <string>
-#include <string_view>
+#include <cstdint>
 
 namespace dmm {
 
 /// All token kinds of the MiniC++ subset.
-enum class TokenKind {
+enum class TokenKind : uint8_t {
   EndOfFile,
   Unknown,
 
@@ -111,16 +110,15 @@ enum class TokenKind {
 /// Returns a stable display name for \p Kind (e.g. "'::'" or "identifier").
 const char *tokenKindName(TokenKind Kind);
 
-/// A lexed token. Text points into the SourceManager's buffer.
+/// A lexed token: where its spelling starts, how long it is, and its
+/// kind. Sixteen bytes and trivially copyable, so a whole file's tokens
+/// are one flat array. The spelling itself stays in the SourceManager's
+/// buffer (Lexer::spelling); literal values are decoded from it on
+/// demand (Lexer::intValue and friends) by whoever needs them.
 struct Token {
-  TokenKind Kind = TokenKind::Unknown;
   SourceLocation Loc;
-  std::string_view Text;
-
-  /// Decoded literal payloads (valid per Kind).
-  long long IntValue = 0;
-  double DoubleValue = 0.0;
-  std::string StringValue; ///< For string/char literals, after unescaping.
+  uint32_t Length = 0;
+  TokenKind Kind = TokenKind::Unknown;
 
   bool is(TokenKind K) const { return Kind == K; }
   bool isNot(TokenKind K) const { return Kind != K; }

@@ -76,7 +76,7 @@ void Parser::synchronize() {
 
 bool Parser::isTypeName(const Token &T) const {
   return T.is(TokenKind::Identifier) &&
-         ClassNames.count(std::string(T.Text)) != 0;
+         ClassNames.count(text(T)) != 0;
 }
 
 bool Parser::startsType(unsigned At) const {
@@ -97,7 +97,7 @@ bool Parser::startsType(unsigned At) const {
   }
 }
 
-ClassDecl *Parser::lookupClass(const std::string &Name) const {
+ClassDecl *Parser::lookupClass(std::string_view Name) const {
   auto It = ClassNames.find(Name);
   return It == ClassNames.end() ? nullptr : It->second;
 }
@@ -128,10 +128,10 @@ const Type *Parser::parseType() {
   case TokenKind::KwInt: Ty = Ctx.intType(); break;
   case TokenKind::KwDouble: Ty = Ctx.doubleType(); break;
   case TokenKind::Identifier: {
-    ClassDecl *CD = lookupClass(std::string(cur().Text));
+    ClassDecl *CD = lookupClass(text(cur()));
     if (!CD) {
       Diags.error(cur().Loc,
-                  "unknown type name '" + std::string(cur().Text) + "'");
+                  "unknown type name '" + std::string(text(cur())) + "'");
       return nullptr;
     }
     Ty = Ctx.classType(CD);
@@ -154,10 +154,10 @@ const Type *Parser::parseType() {
     // Member-pointer suffix: `int A::* pm`.
     if (cur().is(TokenKind::Identifier) && tok(1).is(TokenKind::ColonColon) &&
         tok(2).is(TokenKind::Star)) {
-      ClassDecl *CD = lookupClass(std::string(cur().Text));
+      ClassDecl *CD = lookupClass(text(cur()));
       if (!CD) {
         Diags.error(cur().Loc, "unknown class name '" +
-                                   std::string(cur().Text) +
+                                   std::string(text(cur())) +
                                    "' in member pointer type");
         return nullptr;
       }
@@ -182,7 +182,7 @@ const Type *Parser::parseDeclarator(const Type *Ty, std::string &Name,
     consume(); // (
     consume(); // *
     if (cur().is(TokenKind::Identifier)) {
-      Name = std::string(cur().Text);
+      Name = text(cur());
       NameLoc = cur().Loc;
       consume();
     }
@@ -205,7 +205,7 @@ const Type *Parser::parseDeclarator(const Type *Ty, std::string &Name,
   }
 
   if (cur().is(TokenKind::Identifier)) {
-    Name = std::string(cur().Text);
+    Name = text(cur());
     NameLoc = cur().Loc;
     consume();
   }
@@ -214,7 +214,7 @@ const Type *Parser::parseDeclarator(const Type *Ty, std::string &Name,
   std::vector<uint64_t> Extents;
   while (tryConsume(TokenKind::LBracket)) {
     if (cur().is(TokenKind::IntLiteral)) {
-      Extents.push_back(static_cast<uint64_t>(cur().IntValue));
+      Extents.push_back(static_cast<uint64_t>(Lexer::intValue(text(cur()))));
       consume();
     } else {
       Diags.error(cur().Loc, "expected integer array extent");
@@ -231,21 +231,10 @@ const Type *Parser::parseDeclarator(const Type *Ty, std::string &Name,
 // Top-level declarations
 //===----------------------------------------------------------------------===//
 
-bool Parser::parseBuffer(uint32_t FileID) {
-  std::vector<Token> Lexed;
-  {
-    Span Timer("lex");
-    Lexer Lex(SM, FileID, Diags);
-    Lexed = Lex.lexAll();
-  }
-  Telemetry::count("lex.tokens", Lexed.size());
-  Telemetry::count("lex.buffers");
-  return parseTokens(std::move(Lexed));
-}
-
 bool Parser::parseTokens(std::vector<Token> NewTokens) {
   Span Timer("parse");
   Tokens = std::move(NewTokens);
+  Buffer = SM.bufferText(Tokens.back().Loc.fileID());
   Pos = 0;
   unsigned ErrorsBefore = Diags.errorCount();
   while (cur().isNot(TokenKind::EndOfFile))
@@ -272,7 +261,7 @@ void Parser::parseTopLevelDecl() {
     // `C::C(...)` or `C::~C(...)` out-of-line special members.
     if (tok(1).is(TokenKind::ColonColon) &&
         (tok(2).is(TokenKind::Tilde) ||
-         (tok(2).is(TokenKind::Identifier) && tok(2).Text == cur().Text))) {
+         (tok(2).is(TokenKind::Identifier) && text(tok(2)) == text(cur())))) {
       parseOutOfLineMember(/*ReturnTy=*/nullptr);
       break;
     }
@@ -308,7 +297,7 @@ void Parser::parseClass(TagKind Tag) {
     Diags.error(cur().Loc, "expected class name");
     return;
   }
-  std::string Name(cur().Text);
+  std::string Name(text(cur()));
   SourceLocation Loc = cur().Loc;
   consume();
 
@@ -344,10 +333,10 @@ void Parser::parseClass(TagKind Tag) {
         return;
       }
       BS.Loc = cur().Loc;
-      BS.Base = lookupClass(std::string(cur().Text));
+      BS.Base = lookupClass(text(cur()));
       if (!BS.Base) {
         Diags.error(cur().Loc,
-                    "unknown base class '" + std::string(cur().Text) + "'");
+                    "unknown base class '" + std::string(text(cur())) + "'");
         return;
       }
       consume();
@@ -391,7 +380,7 @@ void Parser::parseMember(ClassDecl *CD) {
   }
   if (cur().is(TokenKind::Tilde)) {
     consume();
-    if (cur().isNot(TokenKind::Identifier) || cur().Text != CD->name()) {
+    if (cur().isNot(TokenKind::Identifier) || text(cur()) != CD->name()) {
       Diags.error(cur().Loc, "destructor name must match class name");
       return;
     }
@@ -412,7 +401,7 @@ void Parser::parseMember(ClassDecl *CD) {
   }
 
   // Constructor: `ClassName ( ... )`.
-  if (cur().is(TokenKind::Identifier) && cur().Text == CD->name() &&
+  if (cur().is(TokenKind::Identifier) && text(cur()) == CD->name() &&
       tok(1).is(TokenKind::LParen)) {
     SourceLocation Loc = cur().Loc;
     consume();
@@ -441,7 +430,7 @@ void Parser::parseMember(ClassDecl *CD) {
 
   // Method: `T name ( ... )`.
   if (cur().is(TokenKind::Identifier) && tok(1).is(TokenKind::LParen)) {
-    std::string Name(cur().Text);
+    std::string Name(text(cur()));
     SourceLocation Loc = cur().Loc;
     consume();
     if (CD->findMethod(Name) || CD->findField(Name)) {
@@ -456,7 +445,7 @@ void Parser::parseMember(ClassDecl *CD) {
       return;
     // Pure virtual: `= 0 ;`.
     if (cur().is(TokenKind::Equal) && tok(1).is(TokenKind::IntLiteral) &&
-        tok(1).IntValue == 0) {
+        Lexer::intValue(text(tok(1))) == 0) {
       consume();
       consume();
       expect(TokenKind::Semi, "after pure-virtual specifier");
@@ -501,7 +490,7 @@ void Parser::parseCtorInitList(ConstructorDecl *Ctor, ClassDecl *CD) {
       return;
     }
     CtorInitializer Init;
-    Init.Name = std::string(cur().Text);
+    Init.Name = text(cur());
     Init.Loc = cur().Loc;
     consume();
     expect(TokenKind::LParen, "in constructor initializer");
@@ -535,7 +524,7 @@ void Parser::parseParamList(FunctionDecl *FD) {
 
 void Parser::parseOutOfLineMember(const Type *ReturnTy) {
   assert(cur().is(TokenKind::Identifier) && "caller checked class name");
-  std::string ClassName(cur().Text);
+  std::string ClassName(text(cur()));
   SourceLocation ClassLoc = cur().Loc;
   ClassDecl *CD = lookupClass(ClassName);
   consume();
@@ -548,7 +537,7 @@ void Parser::parseOutOfLineMember(const Type *ReturnTy) {
   if (!ReturnTy) {
     // Constructor or destructor definition.
     if (tryConsume(TokenKind::Tilde)) {
-      if (cur().isNot(TokenKind::Identifier) || cur().Text != ClassName) {
+      if (cur().isNot(TokenKind::Identifier) || text(cur()) != ClassName) {
         Diags.error(cur().Loc, "destructor name must match class name");
         return;
       }
@@ -571,7 +560,7 @@ void Parser::parseOutOfLineMember(const Type *ReturnTy) {
       return;
     }
     // Constructor.
-    assert(cur().is(TokenKind::Identifier) && cur().Text == ClassName &&
+    assert(cur().is(TokenKind::Identifier) && text(cur()) == ClassName &&
            "caller checked constructor name");
     SourceLocation Loc = cur().Loc;
     consume();
@@ -608,7 +597,7 @@ void Parser::parseOutOfLineMember(const Type *ReturnTy) {
     Diags.error(cur().Loc, "expected method name");
     return;
   }
-  std::string Name(cur().Text);
+  std::string Name(text(cur()));
   SourceLocation Loc = cur().Loc;
   consume();
   MethodDecl *M = CD->findMethod(Name);
@@ -647,7 +636,7 @@ void Parser::parseFunctionOrGlobal(const Type *Ty) {
   // classic most-vexing-parse disambiguation.
   if (cur().is(TokenKind::Identifier) && tok(1).is(TokenKind::LParen) &&
       (tok(2).is(TokenKind::RParen) || startsType(2))) {
-    std::string Name(cur().Text);
+    std::string Name(text(cur()));
     SourceLocation Loc = cur().Loc;
     consume();
     auto It = FunctionNames.find(Name);
@@ -991,10 +980,10 @@ Expr *Parser::parseUnary() {
     if (cur().is(TokenKind::Identifier) && tok(1).is(TokenKind::ColonColon) &&
         tok(2).is(TokenKind::Identifier) && isTypeName(cur()) &&
         tok(3).isNot(TokenKind::LParen)) {
-      std::string ClassName(cur().Text);
+      std::string ClassName(text(cur()));
       consume();
       consume();
-      std::string MemberName(cur().Text);
+      std::string MemberName(text(cur()));
       consume();
       return Ctx.create<MemberPointerConstantExpr>(std::move(ClassName),
                                                    std::move(MemberName),
@@ -1073,7 +1062,7 @@ Expr *Parser::parsePostfix() {
         Diags.error(cur().Loc, "expected member name");
         return E;
       }
-      std::string Name(cur().Text);
+      std::string Name(text(cur()));
       consume();
       std::string Qualifier;
       if (cur().is(TokenKind::ColonColon) &&
@@ -1082,7 +1071,7 @@ Expr *Parser::parsePostfix() {
         // qualifier.
         Qualifier = std::move(Name);
         consume(); // ::
-        Name = std::string(cur().Text);
+        Name = text(cur());
         consume();
       }
       E = Ctx.create<MemberExpr>(E, IsArrow, std::move(Name),
@@ -1146,10 +1135,10 @@ Expr *Parser::parseNew() {
   case TokenKind::KwInt: Ty = Ctx.intType(); consume(); break;
   case TokenKind::KwDouble: Ty = Ctx.doubleType(); consume(); break;
   case TokenKind::Identifier: {
-    ClassDecl *CD = lookupClass(std::string(cur().Text));
+    ClassDecl *CD = lookupClass(text(cur()));
     if (!CD) {
       Diags.error(cur().Loc,
-                  "unknown type '" + std::string(cur().Text) + "' in new");
+                  "unknown type '" + std::string(text(cur())) + "' in new");
       return Ctx.create<NullptrLiteralExpr>(Loc);
     }
     Ty = Ctx.classType(CD);
@@ -1178,22 +1167,22 @@ Expr *Parser::parsePrimary() {
   SourceLocation Loc = cur().Loc;
   switch (cur().Kind) {
   case TokenKind::IntLiteral: {
-    long long Value = cur().IntValue;
+    long long Value = Lexer::intValue(text(cur()));
     consume();
     return Ctx.create<IntLiteralExpr>(Value, Loc);
   }
   case TokenKind::DoubleLiteral: {
-    double Value = cur().DoubleValue;
+    double Value = Lexer::doubleValue(text(cur()));
     consume();
     return Ctx.create<DoubleLiteralExpr>(Value, Loc);
   }
   case TokenKind::CharLiteral: {
-    char Value = static_cast<char>(cur().IntValue);
+    char Value = Lexer::charValue(text(cur()));
     consume();
     return Ctx.create<CharLiteralExpr>(Value, Loc);
   }
   case TokenKind::StringLiteral: {
-    std::string Value = cur().StringValue;
+    std::string Value = Lexer::stringValue(text(cur()));
     consume();
     return Ctx.create<StringLiteralExpr>(std::move(Value), Loc);
   }
@@ -1216,7 +1205,7 @@ Expr *Parser::parsePrimary() {
     return E;
   }
   case TokenKind::Identifier: {
-    std::string Name(cur().Text);
+    std::string Name(text(cur()));
     consume();
     return Ctx.create<DeclRefExpr>(std::move(Name), Loc);
   }

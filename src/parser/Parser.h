@@ -21,9 +21,11 @@
 #define DMM_PARSER_PARSER_H
 
 #include "ast/ASTContext.h"
-#include "lexer/Token.h"
+#include "lexer/Lexer.h"
 
+#include <functional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -38,11 +40,8 @@ class Parser {
 public:
   Parser(ASTContext &Ctx, const SourceManager &SM, DiagnosticsEngine &Diags);
 
-  /// Parses buffer \p FileID, appending top-level declarations to the
-  /// translation unit. Returns false if any syntax error was reported.
-  bool parseBuffer(uint32_t FileID);
-
-  /// Parses a pre-lexed token stream (the lexer runs per-file in
+  /// Parses one buffer's pre-lexed token stream, appending top-level
+  /// declarations to the translation unit (the lexer runs per-file in
   /// parallel; parsing stays sequential because it appends to the
   /// shared ASTContext and accumulates the class-name table across
   /// files). \p Tokens must end with EndOfFile. Returns false if any
@@ -54,6 +53,10 @@ private:
   /// @{
   const Token &tok(unsigned LookAhead = 0) const;
   const Token &cur() const { return tok(0); }
+  /// The spelling of \p T in the buffer being parsed.
+  std::string_view text(const Token &T) const {
+    return Lexer::spelling(Buffer, T);
+  }
   void consume();
   bool tryConsume(TokenKind K);
   /// Consumes a token of kind \p K or reports an error. Returns success.
@@ -68,7 +71,7 @@ private:
   /// True if a type starts at lookahead \p At (builtin keyword or known
   /// class name).
   bool startsType(unsigned At = 0) const;
-  ClassDecl *lookupClass(const std::string &Name) const;
+  ClassDecl *lookupClass(std::string_view Name) const;
   ClassDecl *getOrCreateClass(TagKind Tag, const std::string &Name,
                               SourceLocation Loc);
   /// @}
@@ -130,15 +133,27 @@ private:
   DiagnosticsEngine &Diags;
 
   std::vector<Token> Tokens;
+  std::string_view Buffer; ///< Text of the buffer Tokens were lexed from.
   size_t Pos = 0;
   unsigned StartErrors = 0;
 
+  /// Hashes std::string and std::string_view alike, so the name tables
+  /// below can be probed with a token's spelling without copying it.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view S) const {
+      return std::hash<std::string_view>{}(S);
+    }
+  };
+  template <typename T>
+  using NameMap = std::unordered_map<std::string, T, NameHash, std::equal_to<>>;
+
   /// Class names visible so far (forward declarations included).
-  std::unordered_map<std::string, ClassDecl *> ClassNames;
+  NameMap<ClassDecl *> ClassNames;
 
   /// Free-function names seen so far (prototypes and definitions), used
   /// to merge a definition into its earlier prototype.
-  std::unordered_map<std::string, FunctionDecl *> FunctionNames;
+  NameMap<FunctionDecl *> FunctionNames;
 };
 
 } // namespace dmm

@@ -22,12 +22,18 @@ thread_local bool InPoolWorker = false;
 std::atomic<uint64_t (*)()> CtxCapture{nullptr};
 std::atomic<uint64_t (*)(uint64_t)> CtxInstall{nullptr};
 std::atomic<void (*)(uint64_t)> CtxRestore{nullptr};
+
+std::atomic<void (*)()> WorkerStartHook{nullptr};
 } // namespace
 
 void dmm::setPoolTaskContext(const PoolTaskContext &Hooks) {
   CtxCapture.store(Hooks.Capture, std::memory_order_relaxed);
   CtxInstall.store(Hooks.Install, std::memory_order_relaxed);
   CtxRestore.store(Hooks.Restore, std::memory_order_release);
+}
+
+void dmm::setPoolWorkerStartHook(void (*Hook)()) {
+  WorkerStartHook.store(Hook, std::memory_order_release);
 }
 
 /// One active parallelFor: an atomic index dispenser plus completion
@@ -95,6 +101,8 @@ void ThreadPool::runLoop(Loop &L) {
 
 void ThreadPool::workerMain() {
   InPoolWorker = true;
+  if (auto *Hook = WorkerStartHook.load(std::memory_order_acquire))
+    Hook();
   Loop *Joined = nullptr;
   for (;;) {
     Loop *L;

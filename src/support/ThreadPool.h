@@ -61,6 +61,14 @@ struct PoolTaskContext {
 /// Installs the process-wide context hooks (see PoolTaskContext).
 void setPoolTaskContext(const PoolTaskContext &Hooks);
 
+/// Installs a hook that every pool worker thread runs once, on itself,
+/// before it takes any work; null removes it. Workers that are already
+/// running are not revisited, so register it before the pool is built.
+/// Like PoolTaskContext it keeps support/ free of telemetry/: the crash
+/// handler registers one that gives each worker an alternate signal
+/// stack.
+void setPoolWorkerStartHook(void (*Hook)());
+
 /// Fixed set of worker threads executing parallelFor loops.
 class ThreadPool {
 public:

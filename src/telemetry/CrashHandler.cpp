@@ -6,6 +6,7 @@
 
 #include "telemetry/CrashHandler.h"
 
+#include "support/ThreadPool.h"
 #include "telemetry/FlightRecorder.h"
 #include "telemetry/Log.h"
 
@@ -321,6 +322,44 @@ void crashSignalHandler(int Sig) {
   ::raise(Sig);
 }
 
+/// Owns the calling thread's alternate signal stack. On thread exit it
+/// switches the stack off before freeing it.
+struct ThreadAltStack {
+  void *Mem = nullptr;
+  ThreadAltStack() = default;
+  ThreadAltStack(const ThreadAltStack &) = delete;
+  ThreadAltStack &operator=(const ThreadAltStack &) = delete;
+  ~ThreadAltStack() {
+    if (!Mem)
+      return;
+    stack_t Off;
+    memset(&Off, 0, sizeof(Off));
+    Off.ss_flags = SS_DISABLE;
+    sigaltstack(&Off, nullptr);
+    std::free(Mem);
+  }
+};
+thread_local ThreadAltStack MyAltStack;
+
+/// Gives the calling thread a 64 KiB alternate signal stack, once. The
+/// memory comes from malloc and is never written before a signal
+/// arrives, so a thread that never crashes commits none of it.
+void installThreadAltStack() {
+  constexpr size_t kAltStackBytes = 64 * 1024;
+  if (MyAltStack.Mem)
+    return;
+  stack_t Alt;
+  memset(&Alt, 0, sizeof(Alt));
+  Alt.ss_sp = std::malloc(kAltStackBytes);
+  Alt.ss_size = kAltStackBytes;
+  if (!Alt.ss_sp)
+    return;
+  if (sigaltstack(&Alt, nullptr) == 0)
+    MyAltStack.Mem = Alt.ss_sp;
+  else
+    std::free(Alt.ss_sp);
+}
+
 [[noreturn]] void crashTerminateHandler() {
   dumpCrashReport("terminate");
   if (PrevTerminate && PrevTerminate != crashTerminateHandler)
@@ -344,16 +383,12 @@ void dmm::installCrashHandler(int Argc, const char *const *Argv,
       copyBounded(CrashDir, Dir, sizeof(CrashDir));
 
   // A stack overflow leaves no room on the faulting stack for the
-  // handler, so the installing (main) thread gets an alternate signal
-  // stack, allocated once here. Other threads keep running handlers on
-  // their own stacks (SA_ONSTACK is ignored where none is set).
-  constexpr size_t kAltStackBytes = 64 * 1024;
-  stack_t Alt;
-  memset(&Alt, 0, sizeof(Alt));
-  Alt.ss_sp = std::malloc(kAltStackBytes);
-  Alt.ss_size = kAltStackBytes;
-  if (Alt.ss_sp)
-    sigaltstack(&Alt, nullptr);
+  // handler, so the installing (main) thread and every thread-pool
+  // worker started from now on get an alternate signal stack. Other
+  // threads keep running handlers on their own stacks (SA_ONSTACK is
+  // ignored where none is set).
+  installThreadAltStack();
+  setPoolWorkerStartHook(installThreadAltStack);
 
   struct sigaction SA;
   memset(&SA, 0, sizeof(SA));

@@ -8,8 +8,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <mutex>
+#include <new>
+#include <type_traits>
 
 using namespace dmm;
 
@@ -54,9 +57,21 @@ FlightRecorder::FlightRecorder(size_t Cap)
                      std::chrono::steady_clock::now().time_since_epoch())
                      .count()) {
   Rings = new Ring[kMaxThreads];
-  // One contiguous block for all rings, zero-initialized, allocated
-  // before any signal handler could ever walk it.
-  FlightEvent *Block = new FlightEvent[kMaxThreads * Capacity]();
+  // One contiguous block for all rings, allocated before any signal
+  // handler could ever walk it. calloc rather than value-initializing
+  // new[]: the block is 2 MiB at the default capacity, and calloc'd
+  // memory this large comes straight from mmap as the kernel's shared
+  // zero page, so only the rings a thread actually writes ever get
+  // committed. All-zero bytes are exactly FlightEvent's default value,
+  // and FlightEvent is an aggregate (an implicit-lifetime type), so the
+  // block holds valid FlightEvents without a constructor call.
+  static_assert(std::is_aggregate_v<FlightEvent> &&
+                    std::is_trivially_destructible_v<FlightEvent>,
+                "calloc'd FlightEvents need no constructor or destructor");
+  auto *Block = static_cast<FlightEvent *>(
+      std::calloc(kMaxThreads * Capacity, sizeof(FlightEvent)));
+  if (!Block)
+    throw std::bad_alloc();
   for (size_t I = 0; I < kMaxThreads; ++I)
     Rings[I].Entries = Block + I * Capacity;
 }

@@ -17,7 +17,10 @@
 /// store of the head index), so recording is wait-free and never
 /// contends. All ring memory is allocated once at install() time; after
 /// that the recorder performs no allocation, which is what makes the
-/// crash-time walk safe.
+/// crash-time walk safe. The allocation is committed lazily: the event
+/// block is calloc'd zero pages, so a ring costs physical memory only
+/// once its thread writes to it, and a short run (`--version`) pays for
+/// one ring, not 64.
 ///
 /// Alongside the rings, the recorder keeps each thread's stack of open
 /// span names (pushed/popped by the Span RAII class in Telemetry.cpp,

@@ -10,18 +10,31 @@
 
 #include "gtest/gtest.h"
 
-#include <memory>
+#include <climits>
+#include <type_traits>
+#include <utility>
 
 using namespace dmm;
 
 namespace {
 
+static_assert(sizeof(Token) <= 16 && std::is_trivially_copyable_v<Token>,
+              "a Token is a 16-byte position, not a payload carrier");
+
+/// Every buffer these tests lex lives in one SourceManager for the
+/// process, so a token's spelling can be found from its FileID.
+SourceManager &testSources() {
+  static SourceManager SM;
+  return SM;
+}
+
+/// The spelling of a token returned by lexAll below.
+std::string_view text(const Token &T) {
+  return Lexer::spelling(testSources().bufferText(T.Loc.fileID()), T);
+}
+
 std::vector<Token> lexAll(const std::string &Text, unsigned *Errors = nullptr) {
-  // Token::Text views into the buffer; keep every SourceManager alive
-  // for the process so returned tokens stay valid.
-  static std::vector<std::unique_ptr<SourceManager>> Keep;
-  Keep.push_back(std::make_unique<SourceManager>());
-  SourceManager &SM = *Keep.back();
+  SourceManager &SM = testSources();
   uint32_t ID = SM.addBuffer("test.mcc", Text);
   DiagnosticsEngine Diags(SM);
   Lexer L(SM, ID, Diags);
@@ -46,9 +59,9 @@ TEST(Lexer, Identifiers) {
   auto Tokens = lexAll("foo _bar baz42");
   ASSERT_EQ(Tokens.size(), 4u);
   EXPECT_EQ(Tokens[0].Kind, TokenKind::Identifier);
-  EXPECT_EQ(Tokens[0].Text, "foo");
-  EXPECT_EQ(Tokens[1].Text, "_bar");
-  EXPECT_EQ(Tokens[2].Text, "baz42");
+  EXPECT_EQ(text(Tokens[0]), "foo");
+  EXPECT_EQ(text(Tokens[1]), "_bar");
+  EXPECT_EQ(text(Tokens[2]), "baz42");
 }
 
 TEST(Lexer, KeywordsAreDistinguishedFromIdentifiers) {
@@ -59,19 +72,105 @@ TEST(Lexer, KeywordsAreDistinguishedFromIdentifiers) {
   EXPECT_EQ(Tokens[3].Kind, TokenKind::Identifier);
 }
 
+TEST(Lexer, EveryKeywordSpellingMapsToItsKind) {
+  const std::pair<const char *, TokenKind> Keywords[] = {
+      {"class", TokenKind::KwClass},
+      {"struct", TokenKind::KwStruct},
+      {"union", TokenKind::KwUnion},
+      {"public", TokenKind::KwPublic},
+      {"private", TokenKind::KwPrivate},
+      {"protected", TokenKind::KwProtected},
+      {"virtual", TokenKind::KwVirtual},
+      {"volatile", TokenKind::KwVolatile},
+      {"const", TokenKind::KwConst},
+      {"void", TokenKind::KwVoid},
+      {"bool", TokenKind::KwBool},
+      {"char", TokenKind::KwChar},
+      {"int", TokenKind::KwInt},
+      {"double", TokenKind::KwDouble},
+      {"if", TokenKind::KwIf},
+      {"else", TokenKind::KwElse},
+      {"while", TokenKind::KwWhile},
+      {"for", TokenKind::KwFor},
+      {"break", TokenKind::KwBreak},
+      {"continue", TokenKind::KwContinue},
+      {"return", TokenKind::KwReturn},
+      {"new", TokenKind::KwNew},
+      {"delete", TokenKind::KwDelete},
+      {"this", TokenKind::KwThis},
+      {"sizeof", TokenKind::KwSizeof},
+      {"static_cast", TokenKind::KwStaticCast},
+      {"reinterpret_cast", TokenKind::KwReinterpretCast},
+      {"true", TokenKind::KwTrue},
+      {"false", TokenKind::KwFalse},
+      {"nullptr", TokenKind::KwNullptr},
+  };
+  for (const auto &[Spelling, Kind] : Keywords) {
+    auto Tokens = lexAll(Spelling);
+    ASSERT_EQ(Tokens.size(), 2u) << Spelling;
+    EXPECT_EQ(Tokens[0].Kind, Kind) << Spelling;
+    EXPECT_EQ(text(Tokens[0]), Spelling);
+  }
+}
+
+TEST(Lexer, KeywordNearMissesAreIdentifiers) {
+  for (const char *Spelling : {"classy", "in", "intx", "Class", "_if",
+                               "static_casts", "nullptr_", "thiss", "tru",
+                               "dbl", "sizeo", "reinterpret_cas"}) {
+    auto Tokens = lexAll(Spelling);
+    ASSERT_EQ(Tokens.size(), 2u) << Spelling;
+    EXPECT_EQ(Tokens[0].Kind, TokenKind::Identifier) << Spelling;
+    EXPECT_EQ(text(Tokens[0]), Spelling);
+  }
+}
+
+TEST(Lexer, LiteralsDecodeOnDemand) {
+  unsigned Errors = 0;
+  auto Tokens = lexAll(R"(0 123456789 3.25 2.5e-2 '\'' '\0' "a\"b\\")",
+                       &Errors);
+  EXPECT_EQ(Errors, 0u);
+  ASSERT_EQ(Tokens.size(), 8u);
+  EXPECT_EQ(Tokens[0].Kind, TokenKind::IntLiteral);
+  EXPECT_EQ(Lexer::intValue(text(Tokens[0])), 0);
+  EXPECT_EQ(Lexer::intValue(text(Tokens[1])), 123456789);
+  EXPECT_EQ(Tokens[2].Kind, TokenKind::DoubleLiteral);
+  EXPECT_DOUBLE_EQ(Lexer::doubleValue(text(Tokens[2])), 3.25);
+  EXPECT_DOUBLE_EQ(Lexer::doubleValue(text(Tokens[3])), 0.025);
+  EXPECT_EQ(Tokens[4].Kind, TokenKind::CharLiteral);
+  EXPECT_EQ(Lexer::charValue(text(Tokens[4])), '\'');
+  EXPECT_EQ(Lexer::charValue(text(Tokens[5])), '\0');
+  EXPECT_EQ(Tokens[6].Kind, TokenKind::StringLiteral);
+  EXPECT_EQ(text(Tokens[6]), R"("a\"b\\")");
+  EXPECT_EQ(Lexer::stringValue(text(Tokens[6])), "a\"b\\");
+}
+
+TEST(Lexer, UnknownEscapeDecodesToItsCharacterAndIsDiagnosedOnce) {
+  unsigned Errors = 0;
+  auto Tokens = lexAll(R"('\q')", &Errors);
+  EXPECT_EQ(Errors, 1u);
+  ASSERT_EQ(Tokens[0].Kind, TokenKind::CharLiteral);
+  EXPECT_EQ(Lexer::charValue(text(Tokens[0])), 'q');
+}
+
+TEST(Lexer, OverlongIntegerSaturates) {
+  auto Tokens = lexAll("99999999999999999999");
+  ASSERT_EQ(Tokens[0].Kind, TokenKind::IntLiteral);
+  EXPECT_EQ(Lexer::intValue(text(Tokens[0])), LLONG_MAX);
+}
+
 TEST(Lexer, IntegerLiterals) {
   auto Tokens = lexAll("0 42 123456789");
-  EXPECT_EQ(Tokens[0].IntValue, 0);
-  EXPECT_EQ(Tokens[1].IntValue, 42);
-  EXPECT_EQ(Tokens[2].IntValue, 123456789);
+  EXPECT_EQ(Lexer::intValue(text(Tokens[0])), 0);
+  EXPECT_EQ(Lexer::intValue(text(Tokens[1])), 42);
+  EXPECT_EQ(Lexer::intValue(text(Tokens[2])), 123456789);
 }
 
 TEST(Lexer, DoubleLiterals) {
   auto Tokens = lexAll("3.25 1e3 2.5e-2");
   EXPECT_EQ(Tokens[0].Kind, TokenKind::DoubleLiteral);
-  EXPECT_DOUBLE_EQ(Tokens[0].DoubleValue, 3.25);
-  EXPECT_DOUBLE_EQ(Tokens[1].DoubleValue, 1000.0);
-  EXPECT_DOUBLE_EQ(Tokens[2].DoubleValue, 0.025);
+  EXPECT_DOUBLE_EQ(Lexer::doubleValue(text(Tokens[0])), 3.25);
+  EXPECT_DOUBLE_EQ(Lexer::doubleValue(text(Tokens[1])), 1000.0);
+  EXPECT_DOUBLE_EQ(Lexer::doubleValue(text(Tokens[2])), 0.025);
 }
 
 TEST(Lexer, IntFollowedByMemberAccessIsNotADouble) {
@@ -87,16 +186,16 @@ TEST(Lexer, IntFollowedByMemberAccessIsNotADouble) {
 
 TEST(Lexer, CharLiteralsWithEscapes) {
   auto Tokens = lexAll(R"('a' '\n' '\0' '\\')");
-  EXPECT_EQ(Tokens[0].IntValue, 'a');
-  EXPECT_EQ(Tokens[1].IntValue, '\n');
-  EXPECT_EQ(Tokens[2].IntValue, 0);
-  EXPECT_EQ(Tokens[3].IntValue, '\\');
+  EXPECT_EQ(Lexer::charValue(text(Tokens[0])), 'a');
+  EXPECT_EQ(Lexer::charValue(text(Tokens[1])), '\n');
+  EXPECT_EQ(Lexer::charValue(text(Tokens[2])), 0);
+  EXPECT_EQ(Lexer::charValue(text(Tokens[3])), '\\');
 }
 
 TEST(Lexer, StringLiteralsWithEscapes) {
   auto Tokens = lexAll(R"("hello\tworld\n")");
   EXPECT_EQ(Tokens[0].Kind, TokenKind::StringLiteral);
-  EXPECT_EQ(Tokens[0].StringValue, "hello\tworld\n");
+  EXPECT_EQ(Lexer::stringValue(text(Tokens[0])), "hello\tworld\n");
 }
 
 TEST(Lexer, CompoundPunctuation) {

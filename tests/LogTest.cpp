@@ -7,12 +7,14 @@
 /// \file
 /// Covers the structured logger (level parsing, the human and JSONL
 /// sink formats, per-level counters), the per-thread flight recorder
-/// (ring wrap-around, span markers, the open-span stack), and the
-/// crash-report writer validated through the tool's own strict JSON
-/// parser, including a report written from a stack overflow.
+/// (ring wrap-around, span markers, the open-span stack, untouched
+/// rings), and the crash-report writer validated through the tool's own
+/// strict JSON parser, including reports written from a stack overflow
+/// on the main thread and on a pool worker.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "support/ThreadPool.h"
 #include "telemetry/CrashHandler.h"
 #include "telemetry/FlightRecorder.h"
 #include "telemetry/Json.h"
@@ -348,29 +350,56 @@ void overflowStackUnderCrashHandler(const std::string &CrashDir) {
   recurseWithoutBound(0);
 }
 
-TEST(CrashReport, StackOverflowStillWritesReport) {
-  // The child re-executes this test alone, so the handler it installs
-  // is its own, on its main thread.
-  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+/// The doomed child of the worker death test below: installs the crash
+/// handler, then overflows the stack of a thread-pool worker.
+void overflowWorkerStackUnderCrashHandler(const std::string &CrashDir) {
+  ::setenv("DMM_CRASH_DIR", CrashDir.c_str(), 1);
+  static const char *const Argv[] = {"dmm_tests", nullptr};
+  FlightRecorder::install();
+  installCrashHandler(1, Argv, "dmm_tests", "test");
+  ThreadPool Pool(2);
+  Span Root("pipeline");
+  Pool.parallelFor(2, [](size_t) {
+    // The calling thread parks on whichever index it takes, so the other
+    // index runs on the worker.
+    if (!ThreadPool::inWorker())
+      for (;;)
+        ::pause();
+    Span Task("worker.task");
+    recurseWithoutBound(0);
+  });
+}
+
+/// Runs \p Doomed in a death-test child that must die by SIGSEGV after
+/// announcing a crash report in the fresh directory \p DirName, and
+/// returns the one report it left there.
+template <typename Fn>
+std::string crashReportFromChild(const char *DirName, Fn Doomed) {
   namespace fs = std::filesystem;
-  const fs::path Dir = fs::absolute("crash_overflow_test");
+  const fs::path Dir = fs::absolute(DirName);
   fs::remove_all(Dir);
   fs::create_directories(Dir);
 
-  EXPECT_EXIT(overflowStackUnderCrashHandler(Dir.string()),
-              testing::KilledBySignal(SIGSEGV), "crash report written");
+  EXPECT_EXIT(Doomed(Dir.string()), testing::KilledBySignal(SIGSEGV),
+              "crash report written");
 
   std::string Text;
   for (const fs::directory_entry &E : fs::directory_iterator(Dir)) {
-    ASSERT_TRUE(Text.empty()) << "more than one crash report";
-    ASSERT_EQ(E.path().filename().string().rfind("dmm-crash-", 0), 0u);
+    EXPECT_TRUE(Text.empty()) << "more than one crash report";
+    EXPECT_EQ(E.path().filename().string().rfind("dmm-crash-", 0), 0u);
     std::ifstream In(E.path());
     std::ostringstream SS;
     SS << In.rdbuf();
     Text = SS.str();
   }
   fs::remove_all(Dir);
+  return Text;
+}
 
+/// Parses \p Text with the strict parser and checks it is a SIGSEGV
+/// report whose crashing thread had \p InnermostSpan open.
+void expectOverflowReport(const std::string &Text,
+                          const std::string &InnermostSpan) {
   json::Value V;
   std::string Error;
   ASSERT_TRUE(json::parse(Text, V, Error)) << Error << "\n" << Text;
@@ -381,7 +410,83 @@ TEST(CrashReport, StackOverflowStillWritesReport) {
   ASSERT_NE(SpanStack, nullptr);
   ASSERT_TRUE(SpanStack->isArray());
   ASSERT_FALSE(SpanStack->array().empty());
-  EXPECT_EQ(SpanStack->array().back().str(), "pipeline");
+  EXPECT_EQ(SpanStack->array().back().str(), InnermostSpan);
+}
+
+TEST(CrashReport, StackOverflowStillWritesReport) {
+  // The child re-executes this test alone, so the handler it installs
+  // is its own, on its main thread.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  expectOverflowReport(crashReportFromChild("crash_overflow_test",
+                                            overflowStackUnderCrashHandler),
+                       "pipeline");
+}
+
+TEST(CrashReport, WorkerStackOverflowStillWritesReport) {
+  // As above, but the stack that overflows belongs to a pool worker,
+  // which gets its alternate signal stack from the crash handler's
+  // worker start hook. The report's span stack is the worker's own.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  expectOverflowReport(
+      crashReportFromChild("crash_worker_overflow_test",
+                           overflowWorkerStackUnderCrashHandler),
+      "worker.task");
+}
+
+/// The child of the test below, a fresh process in which only the main
+/// thread records. Exits 0 after writing a crash report to \p Path if
+/// the other 63 rings are still all-zero bytes; exits 1 otherwise.
+void recordOnMainThreadOnly(const std::string &Path) {
+  FlightRecorder::install();
+  {
+    CapturedLogger Cap;
+    logWarn("only the main thread records");
+  }
+  const FlightRecorder &R = *FlightRecorder::active();
+  bool Untouched = R.threadCount() == 1 &&
+                   R.snapshot().size() == R.eventsRecorded();
+  for (size_t T = 1; T < FlightRecorder::kMaxThreads; ++T) {
+    Untouched = Untouched && R.ringHead(T) == 0;
+    const auto *Bytes =
+        reinterpret_cast<const unsigned char *>(R.ringEntries(T));
+    for (size_t I = 0; I < R.capacity() * sizeof(FlightEvent); ++I)
+      Untouched = Untouched && Bytes[I] == 0;
+  }
+  int Fd = ::open(Path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (Fd < 0)
+    std::_Exit(1);
+  writeCrashReport(Fd, "SIGSEGV");
+  ::close(Fd);
+  std::_Exit(Untouched ? 0 : 1);
+}
+
+TEST(FlightRecorder, UntouchedRingsDumpAsZeroEvents) {
+  // Ring memory is committed lazily, so a ring no thread has written
+  // must read as zeros and contribute nothing to a dump.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const std::string Path =
+      std::filesystem::absolute("untouched_rings_test.json").string();
+  std::remove(Path.c_str());
+  EXPECT_EXIT(recordOnMainThreadOnly(Path), testing::ExitedWithCode(0), "");
+
+  std::ifstream In(Path);
+  std::ostringstream SS;
+  SS << In.rdbuf();
+  std::remove(Path.c_str());
+  json::Value V;
+  std::string Error;
+  ASSERT_TRUE(json::parse(SS.str(), V, Error)) << Error << "\n" << SS.str();
+  const json::Value *Events = V.get("flight_recorder");
+  ASSERT_NE(Events, nullptr);
+  ASSERT_TRUE(Events->isArray());
+  ASSERT_FALSE(Events->array().empty());
+  for (const json::Value &E : Events->array())
+    EXPECT_EQ(E.getNumber("thread"), 0.0);
+  const json::Value *Counters = V.get("counters");
+  ASSERT_NE(Counters, nullptr);
+  EXPECT_EQ(Counters->getNumber("recorder_events"),
+            static_cast<double>(Events->array().size()));
+  EXPECT_EQ(Counters->getNumber("recorder_dropped"), 0.0);
 }
 
 #endif // !_WIN32
