@@ -8,85 +8,52 @@
 
 #include "lexer/Lexer.h"
 #include "parser/Parser.h"
-#include "support/ThreadPool.h"
 #include "telemetry/Log.h"
 #include "telemetry/Telemetry.h"
 
 using namespace dmm;
-
-namespace {
-
-/// Per-file result of the parallel lex stage.
-struct LexedBuffer {
-  std::vector<Token> Tokens;
-  /// Diagnostics collected by the worker's private engine; replayed
-  /// into the compilation's engine in file order so multi-threaded runs
-  /// report identically to sequential ones.
-  std::vector<Diagnostic> Diags;
-};
-
-} // namespace
 
 std::unique_ptr<Compilation> dmm::compileProgram(std::vector<SourceFile> Files,
                                                  std::ostream *DiagOS) {
   auto C = std::make_unique<Compilation>(DiagOS);
 
   Parser P(*C->Ctx, C->SM, C->Diags);
-  std::vector<std::pair<uint32_t, bool>> Buffers;
   for (SourceFile &F : Files) {
     uint32_t ID = C->SM.addBuffer(std::move(F.Name), std::move(F.Text));
     C->FileIDs.push_back(ID);
     if (!F.IsLibrary)
       C->UserFileIDs.push_back(ID);
-    Buffers.emplace_back(ID, F.IsLibrary);
   }
 
-  // Lexing is per-file independent (the SourceManager is read-only once
-  // all buffers are registered), so it fans out across the pool. Each
-  // worker lexes into a private diagnostics engine and a private token
-  // vector; results merge in file order below.
-  std::vector<LexedBuffer> Lexed;
+  // Each buffer is lexed straight into the compilation's engine, in
+  // file order, before any parsing, so every lex diagnostic prints
+  // ahead of the first parse diagnostic.
+  std::vector<std::vector<Token>> Lexed;
+  Lexed.reserve(C->FileIDs.size());
+  uint64_t TotalTokens = 0;
   {
     Span Timer("lex");
-    Lexed = globalThreadPool().parallelMap<LexedBuffer>(
-        Buffers.size(), [&](size_t I) {
-          Span FileSpan("lex.file");
-          FileSpan.arg("file",
-                       std::string(C->SM.bufferName(Buffers[I].first)));
-          LexedBuffer Out;
-          DiagnosticsEngine WorkerDiags(C->SM, nullptr);
-          Lexer Lex(C->SM, Buffers[I].first, WorkerDiags);
-          Out.Tokens = Lex.lexAll();
-          Out.Diags = WorkerDiags.diagnostics();
-          FileSpan.arg("tokens", Out.Tokens.size());
-          return Out;
-        });
-  }
-  uint64_t TotalTokens = 0;
-  for (const LexedBuffer &L : Lexed) {
-    TotalTokens += L.Tokens.size();
-    for (const Diagnostic &D : L.Diags) {
-      switch (D.Kind) {
-      case DiagKind::Error: C->Diags.error(D.Loc, D.Message); break;
-      case DiagKind::Warning: C->Diags.warning(D.Loc, D.Message); break;
-      case DiagKind::Note: C->Diags.note(D.Loc, D.Message); break;
-      }
+    for (uint32_t ID : C->FileIDs) {
+      Span FileSpan("lex.file");
+      FileSpan.arg("file", std::string(C->SM.bufferName(ID)));
+      Lexed.push_back(Lexer(C->SM, ID, C->Diags).lexAll());
+      FileSpan.arg("tokens", Lexed.back().size());
+      TotalTokens += Lexed.back().size();
     }
   }
   Telemetry::count("lex.tokens", TotalTokens);
-  Telemetry::count("lex.buffers", Buffers.size());
+  Telemetry::count("lex.buffers", C->FileIDs.size());
   logDebug("lexed sources",
-           {kv("files", Buffers.size()), kv("tokens", TotalTokens)});
+           {kv("files", C->FileIDs.size()), kv("tokens", TotalTokens)});
 
   // Parsing appends to the shared ASTContext and accumulates the
-  // class/function name tables across files, so it stays sequential and
-  // deterministic.
+  // class/function name tables across files.
   bool ParseOK = !C->Diags.hasErrors();
-  for (size_t I = 0; I != Buffers.size(); ++I) {
+  for (size_t I = 0; I != Files.size(); ++I) {
     size_t ClassesBefore = C->Ctx->classes().size();
-    if (!P.parseTokens(std::move(Lexed[I].Tokens)))
+    if (!P.parseTokens(std::move(Lexed[I])))
       ParseOK = false;
-    if (Buffers[I].second)
+    if (Files[I].IsLibrary)
       for (size_t J = ClassesBefore; J != C->Ctx->classes().size(); ++J)
         C->Ctx->classes()[J]->setLibrary();
   }

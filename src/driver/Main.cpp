@@ -80,6 +80,7 @@ struct DriverOptions {
   std::optional<LogLevel> LogLevelFlag; ///< --log-level=<level>.
   std::string LogJsonFile;  ///< --log-json=<file>; empty = off.
   std::string InjectFault;  ///< --inject-fault=<crash|terminate>.
+  unsigned Jobs = 0;        ///< --jobs=<N>; 0 = DMM_THREADS or all cores.
 };
 
 int usage() {
@@ -306,15 +307,12 @@ bool parseArgs(int Argc, char **Argv, DriverOptions &Opts) {
       }
       Opts.Explain.push_back(std::move(Query));
     } else if (Arg.rfind("--jobs=", 0) == 0) {
-      std::string Value = Arg.substr(7);
-      char *End = nullptr;
-      unsigned long Jobs = std::strtoul(Value.c_str(), &End, 10);
-      if (Value.empty() || *End || Jobs == 0) {
+      Opts.Jobs = parseJobs(Arg.substr(7));
+      if (!Opts.Jobs) {
         std::cerr << "error: --jobs expects a positive integer, got '"
-                  << Value << "'\n";
+                  << Arg.substr(7) << "'\n";
         return false;
       }
-      setGlobalJobs(static_cast<unsigned>(Jobs));
     } else if (Arg.rfind("--log-level=", 0) == 0) {
       std::string Value = Arg.substr(12);
       LogLevel Level;
@@ -546,6 +544,14 @@ int main(int Argc, char **Argv) {
   const char *ProfileEnv = std::getenv("DMM_PROFILE");
   if (ProfileEnv && *ProfileEnv && std::strcmp(ProfileEnv, "0") != 0)
     Opts.Profile = true;
+  // Worker count: --jobs flag, then DMM_THREADS, then all cores.
+  if (Opts.Jobs) {
+    setGlobalJobs(Opts.Jobs);
+  } else if (const char *ThreadsEnv = invalidThreadsEnv()) {
+    std::cerr << "error: invalid DMM_THREADS value '" << ThreadsEnv
+              << "' (expects a positive integer)\n";
+    return 2;
+  }
   // Engine selection: --engine flag, then DMM_ENGINE, then the VM.
   if (Opts.Engine.empty())
     if (const char *EngineEnv = std::getenv("DMM_ENGINE");

@@ -62,6 +62,7 @@ struct FuzzOptions {
   bool Verbose = false;
   std::optional<LogLevel> LogLevelFlag; ///< --log-level.
   std::string LogJsonFile;              ///< --log-json.
+  unsigned Jobs = 0; ///< --jobs; 0 = DMM_THREADS or all cores.
 
   /// \name Liveness-driven generation (docs/TESTING.md)
   /// @{
@@ -151,7 +152,8 @@ int usage() {
          "                           the read exemption / the bytecode\n"
          "                           compiler to validate that the\n"
          "                           oracles catch it\n"
-         "  --jobs=<N>               base worker threads (the invariance\n"
+         "  --jobs=<N>               base worker threads (also:\n"
+         "                           DMM_THREADS env var; the invariance\n"
          "                           oracle still sweeps its own levels)\n"
          "  --metrics                print the fuzz counter table at "
          "exit\n"
@@ -252,15 +254,12 @@ bool parseArgs(int Argc, char **Argv, FuzzOptions &Opts) {
         return false;
       }
     } else if (Arg.rfind("--jobs=", 0) == 0) {
-      std::string V = Arg.substr(7);
-      char *End = nullptr;
-      unsigned long Jobs = std::strtoul(V.c_str(), &End, 10);
-      if (V.empty() || *End || Jobs == 0) {
+      Opts.Jobs = parseJobs(Arg.substr(7));
+      if (!Opts.Jobs) {
         std::cerr << "error: --jobs expects a positive integer, got '"
-                  << V << "'\n";
+                  << Arg.substr(7) << "'\n";
         return false;
       }
-      setGlobalJobs(static_cast<unsigned>(Jobs));
     } else if (Arg.rfind("--target-dead-ratio=", 0) == 0) {
       std::string V = Arg.substr(20);
       char *End = nullptr;
@@ -661,6 +660,14 @@ int main(int Argc, char **Argv) {
   FuzzOptions Opts;
   if (!parseArgs(Argc, Argv, Opts))
     return usage();
+  // Worker count: --jobs flag, then DMM_THREADS, then all cores.
+  if (Opts.Jobs) {
+    setGlobalJobs(Opts.Jobs);
+  } else if (const char *ThreadsEnv = invalidThreadsEnv()) {
+    std::cerr << "error: invalid DMM_THREADS value '" << ThreadsEnv
+              << "' (expects a positive integer)\n";
+    return 2;
+  }
 
   if (Opts.LogLevelFlag)
     Logger::instance().setLevel(*Opts.LogLevelFlag);

@@ -48,24 +48,18 @@ OracleOutcome fail(const char *Oracle, std::string Detail) {
   return Out;
 }
 
-/// Compiles, analyzes (with provenance) and renders the JSON report —
-/// the byte-compared unit of the jobs-invariance oracle.
-bool renderReport(const std::string &Source, const AnalysisOptions &Base,
-                  std::string &Report, std::string &Error) {
-  std::ostringstream Diag;
-  auto C = compileString(Source, &Diag);
-  if (!C->Success) {
-    Error = "does not compile: " + Diag.str();
-    return false;
-  }
+/// Reruns the analysis (with provenance) on \p C and renders the JSON
+/// report: the byte-compared unit of the jobs-invariance oracle. The
+/// analysis scan is the only stage whose work depends on --jobs, so
+/// the shared compilation is reused at every level.
+std::string renderReport(Compilation &C, const AnalysisOptions &Base) {
   AnalysisOptions Opts = Base;
   Opts.RecordProvenance = true;
-  DeadMemberAnalysis A(C->context(), C->hierarchy(), Opts);
-  DeadMemberResult R = A.run(C->mainFunction());
+  DeadMemberAnalysis A(C.context(), C.hierarchy(), Opts);
+  DeadMemberResult R = A.run(C.mainFunction());
   std::ostringstream OS;
-  printJsonReport(OS, C->context(), R, &C->SM);
-  Report = OS.str();
-  return true;
+  printJsonReport(OS, C.context(), R, &C.SM);
+  return OS.str();
 }
 
 /// Everything one engine exposes through the InterpOptions hook surface
@@ -78,7 +72,7 @@ struct EngineObservation {
   std::vector<const FieldDecl *> ReadOrder;
   std::set<const FieldDecl *> Writes;
   FieldHeat Heat;
-  std::vector<TraceEvent> Events;
+  AllocationTrace Trace;
   ProfileSummary Prof;
 };
 
@@ -87,15 +81,13 @@ EngineObservation runOnEngine(Compilation &C, bool UseVm,
                               const FieldSet &Dead,
                               const OracleConfig &Config) {
   EngineObservation Obs;
-  AllocationTrace Trace;
   ShadowProfiler Prof(C.hierarchy(), Dead);
   InterpOptions IO;
   IO.ReadSet = &Obs.Reads;
   IO.ReadTrace = &Obs.ReadOrder;
   IO.WriteSet = &Obs.Writes;
   IO.Heat = &Obs.Heat;
-  IO.Trace = &Trace;
-  IO.TraceStackObjects = true;
+  IO.Trace = &Obs.Trace;
   IO.Profiler = &Prof;
   IO.CountDeallocationReads = Config.CountDeallocationReads;
   if (UseVm) {
@@ -107,7 +99,6 @@ EngineObservation runOnEngine(Compilation &C, bool UseVm,
     Interpreter Interp(C.context(), C.hierarchy(), IO);
     Obs.R = Interp.run(C.mainFunction());
   }
-  Obs.Events = Trace.events();
   Obs.Prof = Prof.finalize(&C.SM);
   return Obs;
 }
@@ -167,11 +158,13 @@ std::optional<std::string> firstEngineDivergence(const EngineObservation &T,
     return Mismatch("write-heat entries",
                     std::to_string(T.Heat.Writes.size()),
                     std::to_string(V.Heat.Writes.size()));
-  if (T.Events.size() != V.Events.size())
-    return Mismatch("trace length", std::to_string(T.Events.size()),
-                    std::to_string(V.Events.size()));
-  for (size_t I = 0; I != T.Events.size(); ++I) {
-    const TraceEvent &A = T.Events[I], &B = V.Events[I];
+  const std::vector<TraceEvent> &TE = T.Trace.events(),
+                                &VE = V.Trace.events();
+  if (TE.size() != VE.size())
+    return Mismatch("trace length", std::to_string(TE.size()),
+                    std::to_string(VE.size()));
+  for (size_t I = 0; I != TE.size(); ++I) {
+    const TraceEvent &A = TE[I], &B = VE[I];
     if (A.Kind != B.Kind || A.ObjectID != B.ObjectID ||
         A.Class != B.Class || A.Count != B.Count || A.Bytes != B.Bytes ||
         A.Time != B.Time)
@@ -227,36 +220,22 @@ OracleOutcome fuzz::runOracles(const std::string &Source,
                               Config.Analysis);
   DeadMemberResult Result = Analysis.run(C->mainFunction());
 
-  std::set<const FieldDecl *> Reads;
-  std::vector<const FieldDecl *> ReadOrder;
-  AllocationTrace Trace;
-  std::optional<ShadowProfiler> Prof;
-  InterpOptions IO;
-  IO.ReadSet = &Reads;
-  IO.ReadTrace = &ReadOrder;
-  IO.CountDeallocationReads = Config.CountDeallocationReads;
-  if (Config.Profiler) {
-    // The profiler oracle rides the same execution: trace and shadow
-    // profiler observe the identical event stream.
-    Prof.emplace(C->hierarchy(), Result.deadSet());
-    IO.Trace = &Trace;
-    IO.Profiler = &*Prof;
-  }
-  Interpreter Interp(C->context(), C->hierarchy(), IO);
-  ExecResult Original = Interp.run(C->mainFunction());
-  if (!Original.Completed)
-    return fail("runtime", "original program aborted: " + Original.Error);
+  // The tree-walker runs once, with every hook armed; its observation
+  // is the reference for all four execution-based oracles.
+  EngineObservation Tree =
+      runOnEngine(*C, /*UseVm=*/false, Result.deadSet(), Config);
+  if (!Tree.R.Completed)
+    return fail("runtime", "original program aborted: " + Tree.R.Error);
 
   // Oracle 4: profiler agreement. The shadow profiler's online
   // accounting and the trace replay compute the paper's dynamic
   // measurements by independent mechanisms; any divergence is a bug in
   // one of them.
   if (Config.Profiler) {
-    Prof->finalize(&C->SM);
     LayoutEngine Layout(C->hierarchy());
     const DynamicMetrics Replayed =
-        computeDynamicMetrics(Trace, Layout, Result.deadSet());
-    const DynamicMetrics &Shadow = Prof->metrics();
+        computeDynamicMetrics(Tree.Trace, Layout, Result.deadSet());
+    const DynamicMetrics &Shadow = Tree.Prof.Metrics;
     if (Shadow != Replayed) {
       std::ostringstream OS;
       OS << "shadow profiler diverges from the trace replay: "
@@ -276,35 +255,21 @@ OracleOutcome fuzz::runOracles(const std::string &Source,
   // tree-walker's full observable surface — output, exit code, error,
   // first-read order, read/write sets, heat, allocation trace, and
   // shadow-profiler summary — byte for byte. Steps is exempt (the
-  // engines count different units), so a step-limit abort is compared
-  // by error kind alone: the limit trips at engine-specific points.
+  // engines count different units). The tree-walker completed (a
+  // step-limit abort already failed as "runtime"), so a VM that trips
+  // its own step limit diverges in completion.
   if (Config.Engine) {
-    EngineObservation Tree =
-        runOnEngine(*C, /*UseVm=*/false, Result.deadSet(), Config);
     EngineObservation Vm =
         runOnEngine(*C, /*UseVm=*/true, Result.deadSet(), Config);
-    bool TreeLimited =
-        Tree.R.Error.find("step limit exceeded") != std::string::npos;
-    bool VmLimited =
-        Vm.R.Error.find("step limit exceeded") != std::string::npos;
-    if (TreeLimited || VmLimited) {
-      if (TreeLimited != VmLimited)
-        return fail("engine",
-                    std::string("step limit hit on ") +
-                        (TreeLimited ? "tree" : "vm") +
-                        " only: tree \"" + Tree.R.Error + "\" vs vm \"" +
-                        Vm.R.Error + "\"");
-    } else if (std::optional<std::string> Div =
-                   firstEngineDivergence(Tree, Vm)) {
+    if (std::optional<std::string> Div = firstEngineDivergence(Tree, Vm))
       return fail("engine", "vm diverges from tree-walker: " + *Div);
-    }
   }
 
   // Oracle 2: dynamic soundness. Checked in first-read order so the
   // detail names the earliest offending read.
   if (Config.Soundness) {
-    for (size_t I = 0; I != ReadOrder.size(); ++I) {
-      const FieldDecl *F = ReadOrder[I];
+    for (size_t I = 0; I != Tree.ReadOrder.size(); ++I) {
+      const FieldDecl *F = Tree.ReadOrder[I];
       if (Result.isDead(F))
         return fail("soundness",
                     F->qualifiedName() + " (dynamic read #" +
@@ -315,6 +280,7 @@ OracleOutcome fuzz::runOracles(const std::string &Source,
 
   // Oracle 1: differential semantics of the eliminated program.
   if (Config.Semantics) {
+    const ExecResult &Original = Tree.R;
     EliminationResult Elim = eliminateDeadMembers(
         C->context(), Result, Analysis.callGraph(), Config.Fault);
     std::ostringstream ElimDiag;
@@ -345,36 +311,23 @@ OracleOutcome fuzz::runOracles(const std::string &Source,
     // count.
     if (Config.JobsLevels.size() > 1) {
       unsigned SavedJobs = globalThreadPool().jobs();
-      std::string Reference, ReferenceError;
-      bool JobsFailed = false;
-      OracleOutcome JobsOutcome;
-      for (size_t I = 0; I != Config.JobsLevels.size(); ++I) {
+      std::string Reference;
+      size_t Differs = 0;
+      for (size_t I = 0; I != Config.JobsLevels.size() && !Differs; ++I) {
         setGlobalJobs(Config.JobsLevels[I]);
-        std::string Report, Error;
-        if (!renderReport(Source, Config.Analysis, Report, Error)) {
-          JobsOutcome = fail("invariance-jobs",
-                             "at --jobs=" +
-                                 std::to_string(Config.JobsLevels[I]) +
-                                 " the program " + Error);
-          JobsFailed = true;
-          break;
-        }
-        if (I == 0) {
-          Reference = Report;
-        } else if (Report != Reference) {
-          JobsOutcome = fail(
-              "invariance-jobs",
-              "JSON report differs between --jobs=" +
-                  std::to_string(Config.JobsLevels[0]) + " and --jobs=" +
-                  std::to_string(Config.JobsLevels[I]));
-          JobsFailed = true;
-          break;
-        }
+        std::string Report = renderReport(*C, Config.Analysis);
+        if (I == 0)
+          Reference = std::move(Report);
+        else if (Report != Reference)
+          Differs = I;
       }
       setGlobalJobs(SavedJobs);
-      if (JobsFailed)
-        return JobsOutcome;
-      (void)ReferenceError;
+      if (Differs)
+        return fail("invariance-jobs",
+                    "JSON report differs between --jobs=" +
+                        std::to_string(Config.JobsLevels[0]) +
+                        " and --jobs=" +
+                        std::to_string(Config.JobsLevels[Differs]));
     }
 
     // Monotonic precision: a more precise call graph never loses a

@@ -17,7 +17,9 @@
 ///     (DESIGN.md §6; the paper's central invariant).
 ///  3. *Configuration invariance* — the JSON classification report must
 ///     be byte-identical at every `--jobs` level (the parallel
-///     pipeline's determinism guarantee), and the dead set must grow
+///     pipeline's determinism guarantee; the sweep reruns the analysis
+///     on the shared compilation, since the analysis scan is the only
+///     stage that fans out), and the dead set must grow
 ///     monotonically with call-graph precision
 ///     (baseline ⊆ paper, Trivial ⊆ CHA ⊆ RTA ⊆ PTA).
 ///  4. *Profiler agreement* — the shadow-memory profiler's online
@@ -100,7 +102,9 @@ struct OracleOutcome {
 /// failure. A program that fails to compile or aborts at run time is
 /// itself an oracle failure ("frontend" / "runtime"): the generator
 /// promises valid programs, so either indicates a generator or
-/// pipeline bug worth shrinking.
+/// pipeline bug worth shrinking. The program is compiled once and run
+/// once on the tree-walker (and once on the VM when the engine oracle
+/// is on); every oracle reads that one compilation and execution.
 OracleOutcome runOracles(const std::string &Source,
                          const OracleConfig &Config = {});
 

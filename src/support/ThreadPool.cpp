@@ -199,15 +199,28 @@ std::unique_ptr<ThreadPool> &globalPoolSlot() {
 }
 
 unsigned defaultJobs() {
-  if (const char *Env = std::getenv("DMM_THREADS")) {
-    int N = std::atoi(Env);
-    if (N > 0)
-      return static_cast<unsigned>(N);
-  }
-  return 0; // hardware concurrency
+  const char *Env = std::getenv("DMM_THREADS");
+  return Env ? parseJobs(Env) : 0; // 0: hardware concurrency
 }
 
 } // namespace
+
+unsigned dmm::parseJobs(std::string_view Text) {
+  if (Text.empty() || Text.size() > 9)
+    return 0;
+  unsigned Jobs = 0;
+  for (char Ch : Text) {
+    if (Ch < '0' || Ch > '9')
+      return 0;
+    Jobs = Jobs * 10 + static_cast<unsigned>(Ch - '0');
+  }
+  return Jobs;
+}
+
+const char *dmm::invalidThreadsEnv() {
+  const char *Env = std::getenv("DMM_THREADS");
+  return Env && *Env && !parseJobs(Env) ? Env : nullptr;
+}
 
 ThreadPool &dmm::globalThreadPool() {
   auto &Slot = globalPoolSlot();

@@ -7,8 +7,8 @@
 /// \file
 /// A small fixed-size worker pool with a parallelFor/parallelMap API,
 /// used to parallelize the embarrassingly-parallel pipeline stages
-/// (per-file lexing, per-function analysis scans, per-benchmark
-/// fan-out). Design constraints:
+/// (per-function analysis scans, per-benchmark fan-out; the frontend
+/// lexes and parses on the calling thread). Design constraints:
 ///
 ///  - Determinism is the caller's job: parallelFor only promises that
 ///    every index runs exactly once; callers produce per-index results
@@ -22,9 +22,10 @@
 ///  - The first exception (by lowest index) thrown by a body is
 ///    rethrown on the calling thread after all workers drain.
 ///
-/// The process-wide pool is configured once via setGlobalJobs() (driver
-/// `--jobs=N` flag) or the DMM_THREADS environment variable, and
-/// defaults to the hardware concurrency.
+/// The process-wide pool is configured once via setGlobalJobs() (the
+/// tools' `--jobs=N` flag) or the DMM_THREADS environment variable, and
+/// defaults to the hardware concurrency. Both spellings go through
+/// parseJobs(); the tools reject a malformed value of either.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,6 +38,7 @@
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -123,6 +125,17 @@ ThreadPool &globalThreadPool();
 /// Replaces the pool; must not be called while a parallelFor is
 /// running.
 void setGlobalJobs(unsigned Jobs);
+
+/// Parses a worker count the way `--jobs=<N>` and DMM_THREADS spell it:
+/// a positive decimal integer of at most nine digits and nothing else.
+/// Returns 0 for anything else.
+unsigned parseJobs(std::string_view Text);
+
+/// The value of DMM_THREADS when it is set, non-empty and rejected by
+/// parseJobs(); null otherwise. The tools check it when no `--jobs`
+/// flag was given and exit 2 on a malformed value; the global pool
+/// itself falls back to all cores.
+const char *invalidThreadsEnv();
 
 } // namespace dmm
 

@@ -21,6 +21,7 @@
 #include "fuzz/Oracles.h"
 #include "fuzz/ProgramGenerator.h"
 #include "fuzz/Shrinker.h"
+#include "telemetry/Telemetry.h"
 
 #include <cstring>
 #include <string_view>
@@ -156,6 +157,27 @@ TEST(FuzzOracles, RejectNonCompilingInput) {
   fuzz::OracleOutcome Out = fuzz::runOracles("int main( { return 0 }");
   EXPECT_FALSE(Out.Passed);
   EXPECT_EQ(Out.FailedOracle, "frontend");
+}
+
+TEST(FuzzOracles, CompileAndTreeWalkTheProgramOnce) {
+  std::string Source = fuzz::ProgramGenerator(1).generate();
+  Telemetry Tel;
+  fuzz::OracleOutcome Out;
+  {
+    TelemetryScope Scope(Tel);
+    Out = fuzz::runOracles(Source);
+  }
+  ASSERT_TRUE(Out.Passed) << Out.FailedOracle << ": " << Out.Detail;
+  auto Calls = [&](const char *Phase) -> uint64_t {
+    const PhaseStat *P = Tel.phase(Phase);
+    return P ? P->Invocations : 0;
+  };
+  // Lexed twice: the original and the eliminated program. Executed
+  // three times: the original on the tree-walker and on the VM, the
+  // eliminated program on the tree-walker.
+  EXPECT_EQ(Calls("lex"), 2u);
+  EXPECT_EQ(Calls("interp"), 3u);
+  EXPECT_EQ(Calls("vm.compile"), 1u);
 }
 
 TEST(FuzzOracles, InjectedEliminatorFaultIsCaughtAndShrunk) {

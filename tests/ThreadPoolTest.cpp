@@ -95,6 +95,18 @@ TEST(ThreadPool, SingleJobRunsOnCallingThread) {
   });
 }
 
+TEST(ThreadPool, ParseJobsAcceptsOnlyPositiveDecimalCounts) {
+  EXPECT_EQ(parseJobs("1"), 1u);
+  EXPECT_EQ(parseJobs("4"), 4u);
+  EXPECT_EQ(parseJobs("016"), 16u);
+  EXPECT_EQ(parseJobs("999999999"), 999999999u);
+  // strtoul/atoi would take a prefix, skip blanks, or wrap a sign.
+  for (const char *Bad :
+       {"", "0", "000", "4x", "abc", "-2", "+4", " 4", "4 ", "1e3",
+        "1000000000", "99999999999999999999"})
+    EXPECT_EQ(parseJobs(Bad), 0u) << "'" << Bad << "'";
+}
+
 /// Compiles and analyzes the whole benchmark suite (provenance on, to
 /// exercise the replay-ordered mark attribution) and returns the
 /// concatenated JSON reports.
