@@ -332,8 +332,12 @@ OracleOutcome fuzz::runOracles(const std::string &Source,
 
     // Monotonic precision: a more precise call graph never loses a
     // dead member, and the write-as-live baseline never beats the
-    // paper's algorithm.
+    // paper's algorithm. The configuration that produced Result is not
+    // rerun.
     auto DeadWith = [&](CallGraphKind K, bool Baseline) {
+      if (K == Config.Analysis.CallGraph &&
+          Baseline == Config.Analysis.TreatWritesAsLive)
+        return deadNames(Result);
       AnalysisOptions Opts = Config.Analysis;
       Opts.CallGraph = K;
       Opts.TreatWritesAsLive = Baseline;

@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 //
 // Error handling note: guest runtime errors (null dereference, step-limit
-// exhaustion, division by zero, ...) unwind through the evaluator via a
-// single internal exception type caught in run(). This keeps the ~40
+// exhaustion, division by zero, ...) unwind through the evaluator as a
+// GuestError (interp/Memory.h) caught in run(). This keeps the ~40
 // evaluation paths free of error plumbing; the exception never escapes
-// this translation unit.
+// run().
 //
 //===----------------------------------------------------------------------===//
 
@@ -26,10 +26,6 @@
 #include <cstdio>
 
 using namespace dmm;
-
-struct Interpreter::RuntimeError {
-  std::string Message;
-};
 
 struct Interpreter::Flow {
   enum class FK { Normal, Return, Break, Continue };
@@ -57,7 +53,9 @@ struct Interpreter::Frame {
 
 Interpreter::Interpreter(const ASTContext &Ctx, const ClassHierarchy &CH,
                          InterpOptions Options)
-    : Ctx(Ctx), CH(CH), Options(Options), Layout(CH) {}
+    : MemoryModel(CH, Options), Ctx(Ctx), CH(CH) {
+  Slots = SlotLayout(Ctx, Layout);
+}
 
 Interpreter::~Interpreter() = default;
 
@@ -66,84 +64,9 @@ void Interpreter::step() {
     fail("step limit exceeded");
 }
 
-void Interpreter::fail(const std::string &Message) {
-  throw RuntimeError{Message};
-}
-
 //===----------------------------------------------------------------------===//
-// Storage construction
+// Allocation trace
 //===----------------------------------------------------------------------===//
-
-/// The zero value of a declared type.
-static Value zeroValue(const Type *Ty) {
-  if (Ty->isPointer()) {
-    if (isa<FunctionType>(cast<PointerType>(Ty)->pointee()))
-      return Value::ofFn(nullptr);
-    return Value::nullPtr();
-  }
-  if (Ty->isMemberPointer())
-    return Value::ofMemberPtr(nullptr);
-  if (const auto *BT = dyn_cast<BuiltinType>(Ty)) {
-    switch (BT->builtinKind()) {
-    case BuiltinType::BK::Double:
-      return Value::ofDouble(0.0);
-    case BuiltinType::BK::Bool:
-      return Value::ofBool(false);
-    case BuiltinType::BK::Char:
-      return Value::ofChar(0);
-    case BuiltinType::BK::NullPtr:
-      return Value::nullPtr();
-    default:
-      return Value::ofInt(0);
-    }
-  }
-  return Value::ofInt(0);
-}
-
-Storage *Interpreter::allocateFieldStorage(const FieldDecl *F,
-                                           uint64_t ObjectID) {
-  const Type *Ty = F->type();
-  if (const ClassDecl *CD = Ty->asClassDecl()) {
-    Storage *S = allocateObject(CD, F, ObjectID);
-    return S;
-  }
-  if (const auto *AT = dyn_cast<ArrayType>(Ty)) {
-    Storage *Arr = Arena.createArray(AT->element(), F);
-    Arr->ObjectID = ObjectID;
-    for (uint64_t I = 0; I != AT->size(); ++I) {
-      if (const ClassDecl *Elem = AT->element()->asClassDecl()) {
-        Arr->Elems.push_back(allocateObject(Elem, F, ObjectID));
-      } else {
-        Storage *S = Arena.createScalar(F);
-        S->V = zeroValue(AT->element());
-        S->ObjectID = ObjectID;
-        Arr->Elems.push_back(S);
-      }
-    }
-    return Arr;
-  }
-  Storage *S = Arena.createScalar(F);
-  S->V = zeroValue(Ty);
-  S->ObjectID = ObjectID;
-  return S;
-}
-
-Storage *Interpreter::allocateObject(const ClassDecl *CD,
-                                     const FieldDecl *Owner,
-                                     uint64_t ObjectID) {
-  if (!CD->isComplete())
-    fail("cannot create object of incomplete class '" + CD->name() + "'");
-  if (!Owner)
-    ++NumCompleteObjects;
-  Storage *Obj = Arena.createObject(CD, Owner);
-  Obj->ObjectID = ObjectID;
-  for (const FieldSlot &Slot : Layout.layout(CD).AllFields) {
-    if (Obj->Fields.count(Slot.Field))
-      continue; // Repeated non-virtual base: share the first subobject.
-    Obj->Fields[Slot.Field] = allocateFieldStorage(Slot.Field, ObjectID);
-  }
-  return Obj;
-}
 
 uint64_t Interpreter::traceAlloc(const ClassDecl *CD, uint64_t Count) {
   if (!Options.Trace)
@@ -184,7 +107,7 @@ void Interpreter::defaultConstructBasesAndMembers(Storage *Obj,
       construct(Obj, BS.Base, arityCtor(BS.Base, 0), {},
                 /*MostDerived=*/false);
   for (const FieldDecl *F : CD->fields()) {
-    Storage *FS = Obj->Fields.at(F);
+    Storage *FS = Obj->Slots[Slots.slotOf(F)];
     if (const ClassDecl *Member = F->type()->asClassDecl()) {
       construct(FS, Member, arityCtor(Member, 0), {}, /*MostDerived=*/true);
       continue;
@@ -270,7 +193,7 @@ void Interpreter::construct(Storage *Obj, const ClassDecl *CD,
       construct(Obj, BS.Base, arityCtor(BS.Base, 0), {}, false);
   }
   for (const FieldDecl *Field : CD->fields()) {
-    Storage *FS = Obj->Fields.at(Field);
+    Storage *FS = Obj->Slots[Slots.slotOf(Field)];
     const CtorInitializer *Init = FindInit(
         [&](const CtorInitializer &I) { return I.Field == Field; });
     if (const ClassDecl *Member = Field->type()->asClassDecl()) {
@@ -287,7 +210,8 @@ void Interpreter::construct(Storage *Obj, const ClassDecl *CD,
       continue;
     }
     if (Init && !Init->Args.empty())
-      storeScalar(FS, evalRValue(Init->Args[0]), Field->type());
+      storeScalar(FS,
+                  convertForStore(evalRValue(Init->Args[0]), Field->type()));
   }
 
   if (Ctor->body())
@@ -313,7 +237,7 @@ void Interpreter::destroy(Storage *Obj, const ClassDecl *CD,
   const auto &Fields = CD->fields();
   for (auto It = Fields.rbegin(), E = Fields.rend(); It != E; ++It) {
     const FieldDecl *Field = *It;
-    Storage *FS = Obj->Fields.at(Field);
+    Storage *FS = Obj->Slots[Slots.slotOf(Field)];
     if (const ClassDecl *Member = Field->type()->asClassDecl()) {
       destroy(FS, Member, true);
       continue;
@@ -335,16 +259,6 @@ void Interpreter::destroy(Storage *Obj, const ClassDecl *CD,
   }
 }
 
-/// Marks a storage tree dead so later reads/writes are diagnosed as
-/// use-after-free.
-static void markDeadRecursive(Storage *S) {
-  S->Alive = false;
-  for (auto &[Field, FS] : S->Fields)
-    markDeadRecursive(FS);
-  for (Storage *ES : S->Elems)
-    markDeadRecursive(ES);
-}
-
 void Interpreter::destroyCompleteObject(Storage *Obj) {
   if (!Obj->Alive)
     fail("double destruction of object");
@@ -358,7 +272,7 @@ void Interpreter::destroyCompleteObject(Storage *Obj) {
   traceFree(Obj);
   if (Options.Profiler)
     Options.Profiler->recordFree(Obj->ObjectID);
-  markDeadRecursive(Obj);
+  markDead(Obj);
 }
 
 //===----------------------------------------------------------------------===//
@@ -410,7 +324,7 @@ Value Interpreter::callBuiltin(const FunctionDecl *FD,
     traceFree(S);
     if (Options.Profiler)
       Options.Profiler->recordFree(S->ObjectID);
-    markDeadRecursive(S); // No destructors run, as with C free().
+    markDead(S); // No destructors run, as with C free().
     return Value::unit();
   }
   case BuiltinKind::None:
@@ -506,43 +420,19 @@ void Interpreter::execVarDecl(const VarDecl *V,
 
   if (const ClassDecl *CD = Ty->asClassDecl()) {
     uint64_t ID = NextObjectID++;
-    Storage *Obj = allocateObject(CD, nullptr, ID);
-    if (Options.TraceStackObjects) {
-      if (Options.Profiler)
-        Options.Profiler->registerObjects(CD, 1, ID, V->location());
-      if (uint64_t TID = traceAlloc(CD, 1))
-        TraceIDs[Obj] = TID;
-      if (Options.Profiler)
-        Options.Profiler->recordAllocEvent(ID);
-    }
+    Storage *Obj = allocObject(CD, nullptr, ID);
+    if (Options.Profiler)
+      Options.Profiler->registerObjects(CD, 1, ID, V->location());
+    if (uint64_t TID = traceAlloc(CD, 1))
+      TraceIDs[Obj] = TID;
+    if (Options.Profiler)
+      Options.Profiler->recordAllocEvent(ID);
     F.Locals[V] = Obj;
     if (V->init()) {
       // Copy-initialization: memberwise copy from the source object.
       Value Src = evalRValue(V->init());
-      if (Src.Kind == Value::VK::Ptr && !Src.Ptr.isNull()) {
-        struct Copier {
-          Interpreter &I;
-          void copy(Storage *Dst, Storage *SrcS) {
-            if (Dst->Kind == Storage::SK::Scalar &&
-                SrcS->Kind == Storage::SK::Scalar) {
-              if (Dst->OwnerField && I.Options.Profiler)
-                I.Options.Profiler->recordWrite(Dst->ObjectID,
-                                                Dst->OwnerField);
-              Dst->V = I.loadScalar(SrcS);
-              return;
-            }
-            if (Dst->Kind == Storage::SK::Object)
-              for (auto &[Field, FS] : Dst->Fields)
-                if (SrcS->Fields.count(Field))
-                  copy(FS, SrcS->Fields.at(Field));
-            if (Dst->Kind == Storage::SK::Array)
-              for (size_t E = 0;
-                   E < Dst->Elems.size() && E < SrcS->Elems.size(); ++E)
-                copy(Dst->Elems[E], SrcS->Elems[E]);
-          }
-        };
-        Copier{*this}.copy(Obj, Src.Ptr.Pointee);
-      }
+      if (Src.Kind == Value::VK::Ptr && !Src.Ptr.isNull())
+        copyMembers(Obj, Src.Ptr.Pointee, /*InitForm=*/true);
     } else {
       std::vector<Value> Args;
       const ConstructorDecl *Ctor = V->ctor();
@@ -568,11 +458,11 @@ void Interpreter::execVarDecl(const VarDecl *V,
     NextObjectID += std::max<uint64_t>(AT->size(), 1);
     Arr->ObjectID = ID;
     const ClassDecl *Elem = AT->element()->asClassDecl();
-    if (Elem && Options.TraceStackObjects && Options.Profiler)
+    if (Elem && Options.Profiler)
       Options.Profiler->registerObjects(Elem, AT->size(), ID, V->location());
     for (uint64_t I = 0; I != AT->size(); ++I) {
       if (Elem) {
-        Storage *ES = allocateObject(Elem, nullptr, ID + I);
+        Storage *ES = allocObject(Elem, nullptr, ID + I);
         construct(ES, Elem, arityCtor(Elem, 0), {}, true);
         Arr->Elems.push_back(ES);
       } else {
@@ -581,7 +471,7 @@ void Interpreter::execVarDecl(const VarDecl *V,
         Arr->Elems.push_back(ES);
       }
     }
-    if (Elem && Options.TraceStackObjects) {
+    if (Elem) {
       if (uint64_t TID = traceAlloc(Elem, AT->size()))
         TraceIDs[Arr] = TID;
       if (Options.Profiler)
@@ -687,43 +577,8 @@ Interpreter::Flow Interpreter::execStmt(const Stmt *S) {
 }
 
 //===----------------------------------------------------------------------===//
-// Scalar access
+// Conversion
 //===----------------------------------------------------------------------===//
-
-Value Interpreter::loadScalar(Storage *S) {
-  if (!S->Alive)
-    fail("read from destroyed object");
-  if (S->Kind != Storage::SK::Scalar)
-    fail("scalar read from aggregate storage");
-  if (S->OwnerField) {
-    if (Options.ReadSet)
-      Options.ReadSet->insert(S->OwnerField);
-    if (Options.ReadTrace && TracedReads.insert(S->OwnerField).second)
-      Options.ReadTrace->push_back(S->OwnerField);
-    if (Options.Heat)
-      ++Options.Heat->Reads[S->OwnerField];
-    if (Options.Profiler)
-      Options.Profiler->recordRead(S->ObjectID, S->OwnerField);
-  }
-  return S->V;
-}
-
-void Interpreter::storeScalar(Storage *S, const Value &V,
-                              const Type *DeclaredTy) {
-  if (!S->Alive)
-    fail("write to destroyed object");
-  if (S->Kind != Storage::SK::Scalar)
-    fail("scalar write to aggregate storage");
-  if (S->OwnerField) {
-    if (Options.WriteSet)
-      Options.WriteSet->insert(S->OwnerField);
-    if (Options.Heat)
-      ++Options.Heat->Writes[S->OwnerField];
-    if (Options.Profiler)
-      Options.Profiler->recordWrite(S->ObjectID, S->OwnerField);
-  }
-  S->V = convertForStore(V, DeclaredTy);
-}
 
 Value Interpreter::convertForStore(const Value &V, const Type *Ty) const {
   if (!Ty)
@@ -787,10 +642,10 @@ Storage *Interpreter::evalLValue(const Expr *E) {
       Storage *This = Stack.empty() ? nullptr : Stack.back().This;
       if (!This)
         fail("member '" + Field->name() + "' used outside a method");
-      auto It = This->Fields.find(Field);
-      if (It == This->Fields.end())
+      Storage *S = member(This, Field, Slots.slotOf(Field));
+      if (!S)
         fail("object has no storage for member '" + Field->name() + "'");
-      return It->second;
+      return S;
     }
     fail("cannot take the location of '" + DRE->declName() + "'");
   }
@@ -800,10 +655,10 @@ Storage *Interpreter::evalLValue(const Expr *E) {
     if (!Field)
       fail("member expression does not name a data member");
     Storage *Obj = evalObjectBase(ME->base(), ME->isArrow());
-    auto It = Obj->Fields.find(Field);
-    if (It == Obj->Fields.end())
+    Storage *S = member(Obj, Field, Slots.slotOf(Field));
+    if (!S)
       fail("object has no storage for member '" + Field->name() + "'");
-    return It->second;
+    return S;
   }
   case Expr::Kind::MemberPointerAccess: {
     const auto *MPA = cast<MemberPointerAccessExpr>(E);
@@ -811,10 +666,10 @@ Storage *Interpreter::evalLValue(const Expr *E) {
     Value PM = evalRValue(MPA->pointer());
     if (PM.Kind != Value::VK::MemberPtr || !PM.Member)
       fail("'.*' through null pointer-to-member");
-    auto It = Obj->Fields.find(PM.Member);
-    if (It == Obj->Fields.end())
+    Storage *S = member(Obj, PM.Member, Slots.slotOf(PM.Member));
+    if (!S)
       fail("object has no member for pointer-to-member access");
-    return It->second;
+    return S;
   }
   case Expr::Kind::Subscript: {
     const auto *SE = cast<SubscriptExpr>(E);
@@ -1064,7 +919,7 @@ Value Interpreter::evalUnary(const UnaryExpr *E) {
       New = Value::ofDouble(Old.asDouble() + Delta);
     else
       New = Value::ofInt(Old.asInt() + Delta);
-    storeScalar(S, New, E->sub()->type());
+    storeScalar(S, convertForStore(New, E->sub()->type()));
     bool IsPre = E->op() == UnaryOpKind::PreInc ||
                  E->op() == UnaryOpKind::PreDec;
     return IsPre ? New : Old;
@@ -1202,41 +1057,14 @@ Value Interpreter::evalAssign(const AssignExpr *E) {
     Value Src = evalRValue(E->rhs());
     if (Src.Kind != Value::VK::Ptr || Src.Ptr.isNull())
       fail("class assignment from non-object");
-    struct Copier {
-      Interpreter &I;
-      void copy(Storage *DstS, Storage *SrcS) {
-        if (DstS->Kind == Storage::SK::Scalar &&
-            SrcS->Kind == Storage::SK::Scalar) {
-          if (DstS->OwnerField) {
-            if (I.Options.WriteSet)
-              I.Options.WriteSet->insert(DstS->OwnerField);
-            if (I.Options.Heat)
-              ++I.Options.Heat->Writes[DstS->OwnerField];
-            if (I.Options.Profiler)
-              I.Options.Profiler->recordWrite(DstS->ObjectID,
-                                              DstS->OwnerField);
-          }
-          DstS->V = I.loadScalar(SrcS);
-          return;
-        }
-        if (DstS->Kind == Storage::SK::Object)
-          for (auto &[Field, FS] : DstS->Fields)
-            if (SrcS->Fields.count(Field))
-              copy(FS, SrcS->Fields.at(Field));
-        if (DstS->Kind == Storage::SK::Array)
-          for (size_t EI = 0;
-               EI < DstS->Elems.size() && EI < SrcS->Elems.size(); ++EI)
-            copy(DstS->Elems[EI], SrcS->Elems[EI]);
-      }
-    };
-    Copier{*this}.copy(Dst, Src.Ptr.Pointee);
+    copyMembers(Dst, Src.Ptr.Pointee, /*InitForm=*/false);
     return Src;
   }
 
   Storage *Dst = evalLValue(E->lhs());
   if (E->op() == AssignOpKind::Assign) {
     Value V = evalRValue(E->rhs());
-    storeScalar(Dst, V, LHSTy);
+    storeScalar(Dst, convertForStore(V, LHSTy));
     // Return the stored value without going through loadScalar: using the
     // assignment's result is not a read of the member.
     return Dst->V;
@@ -1288,7 +1116,7 @@ Value Interpreter::evalAssign(const AssignExpr *E) {
       fail("unreachable plain assignment");
     }
   }
-  storeScalar(Dst, New, LHSTy);
+  storeScalar(Dst, convertForStore(New, LHSTy));
   return New;
 }
 
@@ -1375,7 +1203,7 @@ Value Interpreter::evalNew(const NewExpr *N) {
     for (long long I = 0; I != Count; ++I) {
       if (Elem) {
         Storage *ES =
-            allocateObject(Elem, nullptr, ID + static_cast<uint64_t>(I));
+            allocObject(Elem, nullptr, ID + static_cast<uint64_t>(I));
         construct(ES, Elem, arityCtor(Elem, 0), {}, true);
         Arr->Elems.push_back(ES);
       } else {
@@ -1393,7 +1221,7 @@ Value Interpreter::evalNew(const NewExpr *N) {
 
   if (const ClassDecl *CD = Ty->asClassDecl()) {
     uint64_t ID = NextObjectID++;
-    Storage *Obj = allocateObject(CD, nullptr, ID);
+    Storage *Obj = allocObject(CD, nullptr, ID);
     if (Options.Profiler)
       Options.Profiler->registerObjects(CD, 1, ID, N->location());
     if (uint64_t TID = traceAlloc(CD, 1))
@@ -1525,7 +1353,7 @@ ExecResult Interpreter::run(const FunctionDecl *Main) {
 
     Result.Completed = true;
     Result.ExitCode = Exit.asInt();
-  } catch (const RuntimeError &E) {
+  } catch (const GuestError &E) {
     Result.Completed = false;
     Result.Error = E.Message;
     logDebug("interpreter run failed",

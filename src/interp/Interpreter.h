@@ -13,9 +13,11 @@
 /// tests).
 ///
 /// Semantics notes:
-///  - objects are modeled as storage graphs, not flat bytes; union
-///    members therefore do not alias each other (reads of a member other
-///    than the last one written return that member's own last value);
+///  - objects are modeled as graphs of slot-addressed storage nodes
+///    (interp/Memory.h, shared with the bytecode VM), not flat bytes;
+///    union members therefore do not alias each other (reads of a member
+///    other than the last one written return that member's own last
+///    value);
 ///  - virtual dispatch during construction/destruction uses the class of
 ///    the constructor/destructor being run, as in C++;
 ///  - scalars are zero-initialized for determinism;
@@ -36,60 +38,11 @@
 #include "trace/AllocationTrace.h"
 
 #include <deque>
-#include <map>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 namespace dmm {
-
-class ShadowProfiler;
-
-/// Per-member dynamic access counts, keyed by FieldDecl. Feeds the
-/// --measure "heat" report (how often each member is actually read and
-/// written at run time, aggregated per class by the driver).
-struct FieldHeat {
-  std::map<const FieldDecl *, uint64_t> Reads;
-  std::map<const FieldDecl *, uint64_t> Writes;
-};
-
-/// Execution configuration and instrumentation sinks.
-struct InterpOptions {
-  /// Abort with an error after this many evaluation steps.
-  uint64_t MaxSteps = 100'000'000;
-
-  /// When set, object allocations/deallocations are recorded here.
-  AllocationTrace *Trace = nullptr;
-
-  /// Include stack-allocated and global objects in the trace (the
-  /// paper's measurements cover all objects created during execution).
-  bool TraceStackObjects = true;
-
-  /// When set, receives every FieldDecl whose value is read at run time.
-  /// Loads whose value feeds only a delete/free argument are not
-  /// recorded (mirroring the analysis' deallocation exemption, paper
-  /// footnote 3) unless CountDeallocationReads is set.
-  std::set<const FieldDecl *> *ReadSet = nullptr;
-  /// Record member loads that only feed delete/free (see ReadSet).
-  bool CountDeallocationReads = false;
-  /// When set, receives every distinct FieldDecl in order of *first*
-  /// dynamic read (same deallocation exemption as ReadSet). The fuzzing
-  /// harness (src/fuzz) cites this order in its failure records, so an
-  /// unsound classification can be tied to the earliest offending read.
-  std::vector<const FieldDecl *> *ReadTrace = nullptr;
-  /// When set, receives every FieldDecl written at run time.
-  std::set<const FieldDecl *> *WriteSet = nullptr;
-  /// When set, receives per-member dynamic read/write counts. Reads
-  /// feeding only delete/free follow the same exemption as ReadSet.
-  FieldHeat *Heat = nullptr;
-  /// When set, the shadow-memory profiler is driven on every object
-  /// allocation/deallocation, member read/write, and address-take
-  /// (profiler/ShadowProfiler.h). Allocation events follow the same
-  /// TraceStackObjects gate as Trace so the profiler and the trace see
-  /// identical event streams. Null costs one branch per event.
-  ShadowProfiler *Profiler = nullptr;
-};
 
 /// The outcome of an execution.
 struct ExecResult {
@@ -101,7 +54,7 @@ struct ExecResult {
 };
 
 /// Executes a resolved MiniC++ program.
-class Interpreter {
+class Interpreter : private MemoryModel {
 public:
   Interpreter(const ASTContext &Ctx, const ClassHierarchy &CH,
               InterpOptions Options = {});
@@ -113,13 +66,9 @@ public:
 private:
   struct Frame;
   struct Flow;
-  struct RuntimeError;
 
   /// \name Object lifecycle
   /// @{
-  Storage *allocateObject(const ClassDecl *CD, const FieldDecl *Owner,
-                          uint64_t ObjectID);
-  Storage *allocateFieldStorage(const FieldDecl *F, uint64_t ObjectID);
   uint64_t traceAlloc(const ClassDecl *CD, uint64_t Count);
   void traceFree(Storage *Obj);
   void construct(Storage *Obj, const ClassDecl *CD,
@@ -149,8 +98,6 @@ private:
   Storage *evalLValue(const Expr *E);
   /// Evaluates the object of a member access (handles `.` vs `->`).
   Storage *evalObjectBase(const Expr *Base, bool IsArrow);
-  Value loadScalar(Storage *S);
-  void storeScalar(Storage *S, const Value &V, const Type *DeclaredTy);
   Value callBuiltin(const FunctionDecl *FD, std::vector<Value> &Args);
   Value evalCall(const CallExpr *Call);
   Value evalNew(const NewExpr *N);
@@ -167,17 +114,13 @@ private:
   /// @}
 
   void step();
-  [[noreturn]] void fail(const std::string &Message);
 
   Storage *stringStorage(const StringLiteralExpr *S);
   Storage *globalStorage(const VarDecl *GV);
 
   const ASTContext &Ctx;
   const ClassHierarchy &CH;
-  InterpOptions Options;
-  LayoutEngine Layout;
 
-  MemoryArena Arena;
   /// A deque so references to a frame stay valid while nested calls
   /// push and pop deeper frames (vector reallocation would dangle).
   std::deque<Frame> Stack;
@@ -186,12 +129,9 @@ private:
 
   std::string Output;
   uint64_t Steps = 0;
-  /// Fields already appended to Options.ReadTrace (first-read dedup).
-  std::set<const FieldDecl *> TracedReads;
   /// Telemetry tallies (plain members so the per-event cost is an
   /// increment; flushed to the active Telemetry when run() finishes).
   uint64_t NumCalls = 0;
-  uint64_t NumCompleteObjects = 0;
   uint64_t NextObjectID = 1;
   /// Maps traced complete objects to their trace IDs.
   std::unordered_map<const Storage *, uint64_t> TraceIDs;

@@ -9,17 +9,15 @@
 /// Module is the unit of compilation: one dense function table (every
 /// FunctionDecl in the program, constructors and destructor bodies
 /// included, plus one synthetic global-initializer), an interned
-/// constant pool, per-class object plans with member storage resolved
-/// to dense slot indices, and side tables for allocation sites, string
-/// literals, virtual-call sites, and failure messages.
+/// constant pool, per-class construction/destruction plans, and side
+/// tables for allocation sites, string literals, virtual-call sites,
+/// and failure messages.
 ///
-/// Member offsets: every FieldDecl in the program gets one module-wide
-/// *slot color* such that any two fields that co-occur in some class's
-/// complete-object layout (LayoutEngine::layout().AllFields) have
-/// distinct colors. An object's Storage::Slots vector is sized to its
-/// class's color count, so a compiled member access is a bounds check
-/// plus one indexed load — valid for any dynamic receiver class, since
-/// a field keeps its color in every class that embeds it.
+/// Member offsets: member accesses carry the field's module-wide slot
+/// from the SlotLayout both engines share (interp/Memory.h), so a
+/// compiled member access is a bounds check plus one indexed load —
+/// valid for any dynamic receiver class, since a field keeps its slot
+/// in every class that embeds it.
 ///
 /// Instructions are fixed width: a 16-bit opcode, five 16-bit operands
 /// (registers, local slots, small indices) and one 32-bit operand for
@@ -154,8 +152,7 @@ enum class Op : uint16_t {
   RetUnit,  ///< return unit
 
   // Objects and arrays.
-  AllocObj, ///< R[A] = new object of Classes[X] at site B;
-            ///< C=1: gate trace/profiler on TraceStackObjects
+  AllocObj, ///< R[A] = new object of Classes[X] at site B
   CtorCall, ///< construct object R[A] as Classes[X], ctor E (NoFunc16 =
             ///< implicit default), args [B,B+C), D = most-derived
   CtorElems, ///< construct each element of array place R[A] as
@@ -237,18 +234,10 @@ struct MemberPlan {
   uint32_t ElemClassIdx = 0; ///< For Class/ClassArray: Classes[] index.
 };
 
-/// Per-class object plan: slot layout, construction/destruction walk
-/// data, and the allocation-failure message.
+/// Per-class object plan: construction/destruction walk data. The
+/// member slots come from the shared SlotLayout (interp/Memory.h).
 struct ClassPlan {
   const ClassDecl *Decl = nullptr;
-  bool Complete = false;
-  /// Unique fields of the complete object in first-occurrence
-  /// AllFields order (the interpreter's Fields-map insertion order).
-  std::vector<const FieldDecl *> SlotFields;
-  /// Parallel to SlotFields: each field's module-wide color.
-  std::vector<uint32_t> SlotColors;
-  /// Storage::Slots size for instances (1 + max color, 0 if none).
-  uint32_t NumSlots = 0;
   uint64_t CompleteSize = 0; ///< Layout bytes, for the allocation trace.
   /// Direct members in declaration order.
   std::vector<MemberPlan> Members;
@@ -259,7 +248,6 @@ struct ClassPlan {
   uint32_t Arity0Ctor = NoFunc;  ///< Functions[] index, or NoFunc.
   uint32_t DtorBody = NoFunc;    ///< Functions[] index of a destructor
                                  ///< with a body, or NoFunc.
-  std::string IncompleteMsg; ///< "cannot create object of incomplete..."
 };
 
 /// Allocation-site descriptor for array creation ops.
@@ -269,7 +257,6 @@ struct ArrayDesc {
   uint32_t ZeroConstIdx = 0;  ///< Element zero value (non-class).
   uint64_t Count = 0;         ///< Static extent (ArrLocal only).
   uint32_t SiteIdx = 0;       ///< Sites[] index for registerObjects.
-  bool Gate = false;          ///< Apply the TraceStackObjects gate.
 };
 
 /// Virtual-call site: the static method plus its failure message; the
@@ -300,7 +287,6 @@ struct Module {
   /// Lookup tables keyed by declaration.
   std::unordered_map<const FunctionDecl *, uint32_t> FuncIdx;
   std::unordered_map<const ClassDecl *, uint32_t> ClassIdx;
-  std::unordered_map<const FieldDecl *, uint32_t> FieldColor;
 };
 
 } // namespace vm

@@ -19,6 +19,7 @@
 #include "ast/Stmt.h"
 #include "hierarchy/ClassHierarchy.h"
 #include "hierarchy/ObjectLayout.h"
+#include "interp/Memory.h"
 
 #include <algorithm>
 #include <cstring>
@@ -29,32 +30,6 @@ using namespace dmm;
 using namespace dmm::vm;
 
 namespace {
-
-/// The zero value of a declared type (Interpreter.cpp zeroValue).
-Value zeroValue(const Type *Ty) {
-  if (Ty->isPointer()) {
-    if (isa<FunctionType>(cast<PointerType>(Ty)->pointee()))
-      return Value::ofFn(nullptr);
-    return Value::nullPtr();
-  }
-  if (Ty->isMemberPointer())
-    return Value::ofMemberPtr(nullptr);
-  if (const auto *BT = dyn_cast<BuiltinType>(Ty)) {
-    switch (BT->builtinKind()) {
-    case BuiltinType::BK::Double:
-      return Value::ofDouble(0.0);
-    case BuiltinType::BK::Bool:
-      return Value::ofBool(false);
-    case BuiltinType::BK::Char:
-      return Value::ofChar(0);
-    case BuiltinType::BK::NullPtr:
-      return Value::nullPtr();
-    default:
-      return Value::ofInt(0);
-    }
-  }
-  return Value::ofInt(0);
-}
 
 /// Store conversion of a declared type (convertForStore, precompiled).
 Conv convFor(const Type *Ty) {
@@ -115,15 +90,17 @@ struct ConstKey {
 class Compiler {
 public:
   Compiler(const ASTContext &Ctx, const ClassHierarchy &CH,
+           const LayoutEngine &Layout, const SlotLayout &Slots,
            const CompilerConfig &Config)
-      : Ctx(Ctx), CH(CH), Layout(CH), Config(Config) {}
+      : Ctx(Ctx), CH(CH), Layout(Layout), Slots(Slots), Config(Config) {}
 
   Module compile();
 
 private:
   const ASTContext &Ctx;
   const ClassHierarchy &CH;
-  LayoutEngine Layout;
+  const LayoutEngine &Layout;
+  const SlotLayout &Slots;
   CompilerConfig Config;
   Module M;
 
@@ -247,7 +224,6 @@ private:
   //===--- Module construction --------------------------------------------===//
 
   void indexFunctions();
-  void colorFields();
   void buildClassPlans();
   void compileFunctions();
   void compileGlobalInit();
@@ -322,12 +298,11 @@ private:
   /// else materializes the boolean and branches JmpF/JmpT. Returns the
   /// emit site, to be patched to the branch target.
   size_t emitCondBranch(const Expr *Cond, bool JumpOnTrue);
-  /// Slot color for a field access, 0xFFFF when the field was never
-  /// assigned one (the access then fails the slot check at run time).
-  uint16_t fieldColor(const FieldDecl *Field) {
-    auto It = M.FieldColor.find(Field);
-    return It == M.FieldColor.end() ? 0xFFFF
-                                    : static_cast<uint16_t>(It->second);
+  /// Slot for a field access, 0xFFFF when no complete class has the
+  /// field (the access then fails the slot check at run time).
+  uint16_t fieldSlot(const FieldDecl *Field) {
+    uint32_t Slot = Slots.slotOf(Field);
+    return Slot == SlotLayout::NoSlot ? 0xFFFF : static_cast<uint16_t>(Slot);
   }
 
   /// Locals mid-declaration: the tree-walker binds a scalar/reference
@@ -394,8 +369,7 @@ private:
     return dyn_cast<FunctionType>(T);
   }
 
-  uint32_t arrayDesc(const Type *ElemTy, uint64_t Count, SourceLocation Loc,
-                     bool Gate) {
+  uint32_t arrayDesc(const Type *ElemTy, uint64_t Count, SourceLocation Loc) {
     ArrayDesc D;
     D.ElemType = ElemTy;
     if (const ClassDecl *CD = ElemTy->asClassDecl())
@@ -404,7 +378,6 @@ private:
       D.ZeroConstIdx = internConst(zeroValue(ElemTy));
     D.Count = Count;
     D.SiteIdx = site(Loc);
-    D.Gate = Gate;
     M.ArrayDescs.push_back(D);
     return static_cast<uint32_t>(M.ArrayDescs.size() - 1);
   }
@@ -441,45 +414,6 @@ void Compiler::indexFunctions() {
   }
 }
 
-void Compiler::colorFields() {
-  // Interference: two fields conflict when they co-occur in some
-  // complete class's unique field list. Greedy coloring in global
-  // first-appearance order.
-  std::vector<std::vector<const FieldDecl *>> ClassFields;
-  std::unordered_map<const FieldDecl *, std::vector<uint32_t>> FieldClasses;
-  std::vector<const FieldDecl *> Order;
-  for (const ClassDecl *CD : Ctx.classes()) {
-    std::vector<const FieldDecl *> Unique;
-    if (CD->isComplete()) {
-      std::set<const FieldDecl *> Seen;
-      for (const FieldSlot &Slot : Layout.layout(CD).AllFields)
-        if (Seen.insert(Slot.Field).second)
-          Unique.push_back(Slot.Field);
-    }
-    uint32_t CI = static_cast<uint32_t>(ClassFields.size());
-    for (const FieldDecl *FD : Unique) {
-      auto [It, Fresh] = FieldClasses.try_emplace(FD);
-      It->second.push_back(CI);
-      if (Fresh)
-        Order.push_back(FD);
-    }
-    ClassFields.push_back(std::move(Unique));
-  }
-  for (const FieldDecl *FD : Order) {
-    std::set<uint32_t> Used;
-    for (uint32_t CI : FieldClasses[FD])
-      for (const FieldDecl *Other : ClassFields[CI]) {
-        auto It = M.FieldColor.find(Other);
-        if (It != M.FieldColor.end())
-          Used.insert(It->second);
-      }
-    uint32_t Color = 0;
-    while (Used.count(Color))
-      ++Color;
-    M.FieldColor.emplace(FD, Color);
-  }
-}
-
 void Compiler::buildClassPlans() {
   for (const ClassDecl *CD : Ctx.classes())
     M.ClassIdx.emplace(CD, static_cast<uint32_t>(M.Classes.size())),
@@ -487,20 +421,8 @@ void Compiler::buildClassPlans() {
   for (const ClassDecl *CD : Ctx.classes()) {
     ClassPlan &P = M.Classes[classIdx(CD)];
     P.Decl = CD;
-    P.Complete = CD->isComplete();
-    P.IncompleteMsg =
-        "cannot create object of incomplete class '" + CD->name() + "'";
-    if (!P.Complete)
+    if (!CD->isComplete())
       continue;
-    std::set<const FieldDecl *> Seen;
-    for (const FieldSlot &Slot : Layout.layout(CD).AllFields) {
-      if (!Seen.insert(Slot.Field).second)
-        continue; // Repeated non-virtual base: share the first subobject.
-      P.SlotFields.push_back(Slot.Field);
-      uint32_t Color = M.FieldColor.at(Slot.Field);
-      P.SlotColors.push_back(Color);
-      P.NumSlots = std::max(P.NumSlots, Color + 1);
-    }
     P.CompleteSize = Layout.layout(CD).CompleteSize;
     for (const ClassDecl *VB : CH.virtualBases(CD))
       P.VBases.push_back(classIdx(VB));
@@ -510,7 +432,7 @@ void Compiler::buildClassPlans() {
     for (const FieldDecl *Field : CD->fields()) {
       MemberPlan MP;
       MP.Field = Field;
-      MP.SlotColor = M.FieldColor.at(Field);
+      MP.SlotColor = Slots.slotOf(Field);
       if (const ClassDecl *Member = Field->type()->asClassDecl()) {
         MP.Kind = MemberPlan::MK::Class;
         MP.ElemClassIdx = classIdx(Member);
@@ -733,7 +655,6 @@ Module Compiler::compile() {
     GlobalIdx.emplace(GV, static_cast<uint32_t>(M.Globals.size()));
     M.Globals.push_back(GV);
   }
-  colorFields();
   buildClassPlans();
   compileFunctions();
   compileGlobalInit();
@@ -1096,8 +1017,7 @@ void Compiler::compileVarDecl(const VarDecl *V) {
 
   if (const ClassDecl *CD = Ty->asClassDecl()) {
     uint16_t Obj = allocTmp();
-    emit(Op::AllocObj, Obj, site16(V->location()),
-         /*Gate=*/1, 0, 0, classIdx(CD));
+    emit(Op::AllocObj, Obj, site16(V->location()), 0, 0, 0, classIdx(CD));
     // execVarDecl binds the frame local before evaluating the
     // initializer or constructor arguments.
     emit(Op::LSet, B.Idx, Obj);
@@ -1120,7 +1040,7 @@ void Compiler::compileVarDecl(const VarDecl *V) {
   if (const auto *AT = dyn_cast<ArrayType>(Ty)) {
     uint16_t Arr = allocTmp();
     emit(Op::ArrLocal, Arr, 0, 0, 0, 0,
-         arrayDesc(AT->element(), AT->size(), V->location(), /*Gate=*/true));
+         arrayDesc(AT->element(), AT->size(), V->location()));
     emit(Op::LSet, B.Idx, Arr);
     if (AT->element()->asClassDecl())
       Scopes.back().push_back(B.Idx);
@@ -1174,8 +1094,7 @@ void Compiler::compileGlobalVarDecl(const VarDecl *V) {
 
   if (const ClassDecl *CD = Ty->asClassDecl()) {
     uint16_t Obj = allocTmp();
-    emit(Op::AllocObj, Obj, site16(V->location()),
-         /*Gate=*/1, 0, 0, classIdx(CD));
+    emit(Op::AllocObj, Obj, site16(V->location()), 0, 0, 0, classIdx(CD));
     // execVarDecl binds the frame local before evaluating the
     // initializer; the global-frame analog is the unpublished binding.
     emit(Op::GBind, static_cast<uint16_t>(GI), Obj);
@@ -1200,7 +1119,7 @@ void Compiler::compileGlobalVarDecl(const VarDecl *V) {
   if (const auto *AT = dyn_cast<ArrayType>(Ty)) {
     uint16_t Arr = allocTmp();
     emit(Op::ArrLocal, Arr, 0, 0, 0, 0,
-         arrayDesc(AT->element(), AT->size(), V->location(), /*Gate=*/true));
+         arrayDesc(AT->element(), AT->size(), V->location()));
     emit(Op::GBind, static_cast<uint16_t>(GI), Arr);
     emit(Op::GPublish, static_cast<uint16_t>(GI));
     if (AT->element()->asClassDecl())
@@ -1282,11 +1201,7 @@ uint16_t Compiler::place(const Expr *E, uint16_t Dst) {
       uint16_t R = target(Dst);
       emit(Op::ThisOp, R, 0, 0, 0, 0,
            msg("member '" + Field->name() + "' used outside a method"));
-      auto It = M.FieldColor.find(Field);
-      uint16_t Color =
-          It == M.FieldColor.end() ? 0xFFFF
-                                   : static_cast<uint16_t>(It->second);
-      emit(Op::FieldPlace, R, R, Color, fieldIdx(Field), 0,
+      emit(Op::FieldPlace, R, R, fieldSlot(Field), fieldIdx(Field), 0,
            msg("object has no storage for member '" + Field->name() + "'"));
       return R;
     }
@@ -1300,12 +1215,8 @@ uint16_t Compiler::place(const Expr *E, uint16_t Dst) {
       return emitFail("member expression does not name a data member",
                       target(Dst));
     uint16_t Base = objectBase(ME->base(), ME->isArrow());
-    auto It = M.FieldColor.find(Field);
-    uint16_t Color = It == M.FieldColor.end()
-                         ? 0xFFFF
-                         : static_cast<uint16_t>(It->second);
     uint16_t R = target(Dst);
-    emit(Op::FieldPlace, R, Base, Color, fieldIdx(Field), 0,
+    emit(Op::FieldPlace, R, Base, fieldSlot(Field), fieldIdx(Field), 0,
          msg("object has no storage for member '" + Field->name() + "'"));
     return R;
   }
@@ -1606,7 +1517,7 @@ uint16_t Compiler::rval(const Expr *E, uint16_t Dst) {
       uint16_t R = target(Dst);
       emit(Op::ThisOp, R, 0, 0, 0, 0,
            msg("member '" + Field->name() + "' used outside a method"));
-      emit(Op::LdFld, R, R, fieldColor(Field), fieldIdx(Field), 0,
+      emit(Op::LdFld, R, R, fieldSlot(Field), fieldIdx(Field), 0,
            msg("object has no storage for member '" + Field->name() +
                "'"));
       return R;
@@ -1623,7 +1534,7 @@ uint16_t Compiler::rval(const Expr *E, uint16_t Dst) {
     if (const auto *Field = dyn_cast_or_null<FieldDecl>(ME->member())) {
       uint16_t Base = objectBase(ME->base(), ME->isArrow());
       uint16_t R = target(Dst);
-      emit(Op::LdFld, R, Base, fieldColor(Field), fieldIdx(Field), 0,
+      emit(Op::LdFld, R, Base, fieldSlot(Field), fieldIdx(Field), 0,
            msg("object has no storage for member '" + Field->name() +
                "'"));
       return R;
@@ -1980,7 +1891,7 @@ uint16_t Compiler::compileAssign(const AssignExpr *E, uint16_t Dst,
       }
       if (Fuse) {
         uint16_t V = rvalA(E->rhs());
-        emit(Op::StFld, V, Base, fieldColor(Field), fieldIdx(Field), CK,
+        emit(Op::StFld, V, Base, fieldSlot(Field), fieldIdx(Field), CK,
              msg("object has no storage for member '" + Field->name() +
                  "'"));
         return V;
@@ -2089,14 +2000,13 @@ uint16_t Compiler::compileNew(const NewExpr *N, uint16_t Dst) {
     uint16_t Cnt = rvalA(N->arraySize());
     uint16_t R = target(Dst);
     emit(Op::ArrNew, R, Cnt, 0, 0, 0,
-         arrayDesc(Ty, 0, N->location(), /*Gate=*/false));
+         arrayDesc(Ty, 0, N->location()));
     return R;
   }
 
   if (const ClassDecl *CD = Ty->asClassDecl()) {
     uint16_t R = target(Dst);
-    emit(Op::AllocObj, R, site16(N->location()), /*Gate=*/0, 0, 0,
-         classIdx(CD));
+    emit(Op::AllocObj, R, site16(N->location()), 0, 0, 0, classIdx(CD));
     const ConstructorDecl *Ctor = N->constructor();
     uint16_t Argc = static_cast<uint16_t>(N->ctorArgs().size());
     uint16_t ArgBase = compileArgs(N->ctorArgs(), [&](size_t I) {
@@ -2145,8 +2055,9 @@ namespace dmm {
 namespace vm {
 
 Module compileModule(const ASTContext &Ctx, const ClassHierarchy &CH,
+                     const LayoutEngine &Layout, const SlotLayout &Slots,
                      const CompilerConfig &Config) {
-  return Compiler(Ctx, CH, Config).compile();
+  return Compiler(Ctx, CH, Layout, Slots, Config).compile();
 }
 
 } // namespace vm

@@ -14,8 +14,9 @@
 /// oracle demand byte-identical behaviour from both executors.
 ///
 /// Key lowering decisions (docs/VM.md):
-///  - a module-wide field coloring turns member accesses into dense
-///    Storage::Slots indices valid for any receiver class;
+///  - member accesses index Storage::Slots by the shared module-wide
+///    slot numbering (SlotLayout, interp/Memory.h), valid for any
+///    receiver class;
 ///  - scalar locals whose address is never taken (no AddrOf, never
 ///    bound to a reference) live in registers; everything else is
 ///    storage-backed so use-after-free and attribution semantics match
@@ -39,6 +40,8 @@ namespace dmm {
 
 class ASTContext;
 class ClassHierarchy;
+class LayoutEngine;
+class SlotLayout;
 
 namespace vm {
 
@@ -51,10 +54,12 @@ struct CompilerConfig {
   bool FaultAddOffByOne = false;
 };
 
-/// Compiles the whole program into a Module. Total: any construct the
-/// interpreter would reject at run time lowers to code failing with
-/// the identical message at the identical point.
+/// Compiles the whole program into a Module whose member accesses use
+/// \p Slots. Total: any construct the interpreter would reject at run
+/// time lowers to code failing with the identical message at the
+/// identical point.
 Module compileModule(const ASTContext &Ctx, const ClassHierarchy &CH,
+                     const LayoutEngine &Layout, const SlotLayout &Slots,
                      const CompilerConfig &Config = {});
 
 } // namespace vm

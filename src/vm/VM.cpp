@@ -36,87 +36,23 @@
 namespace dmm {
 namespace vm {
 
-struct VM::VMError {
-  std::string Message;
-};
-
 //===----------------------------------------------------------------------===//
-// Construction: compile, then precompute allocation recipes
+// Construction
 //===----------------------------------------------------------------------===//
-
-/// The zero value of a declared type (Interpreter.cpp zeroValue).
-static Value zeroValueOf(const Type *Ty) {
-  if (Ty->isPointer()) {
-    if (isa<FunctionType>(cast<PointerType>(Ty)->pointee()))
-      return Value::ofFn(nullptr);
-    return Value::nullPtr();
-  }
-  if (Ty->isMemberPointer())
-    return Value::ofMemberPtr(nullptr);
-  if (const auto *BT = dyn_cast<BuiltinType>(Ty)) {
-    switch (BT->builtinKind()) {
-    case BuiltinType::BK::Double:
-      return Value::ofDouble(0.0);
-    case BuiltinType::BK::Bool:
-      return Value::ofBool(false);
-    case BuiltinType::BK::Char:
-      return Value::ofChar(0);
-    case BuiltinType::BK::NullPtr:
-      return Value::nullPtr();
-    default:
-      return Value::ofInt(0);
-    }
-  }
-  return Value::ofInt(0);
-}
 
 VM::VM(const ASTContext &Ctx, const ClassHierarchy &CH, InterpOptions Options,
        CompilerConfig Config)
-    : CH(CH), Options(Options) {
+    : MemoryModel(CH, Options), CH(CH) {
   // InterpOptions is the behavioural contract; the compiler needs the
   // deallocation-read policy at lowering time, so mirror it rather than
   // making every caller thread the flag twice.
   Config.CountDeallocationReads |= Options.CountDeallocationReads;
-  {
-    Span Timer("vm.compile");
-    Mod = compileModule(Ctx, CH, Config);
-  }
-  // Per-class recipe for allocateFieldStorage, one entry per unique
-  // field slot in Fields-map insertion order.
-  AllocPlans.resize(Mod.Classes.size());
-  for (size_t CI = 0; CI != Mod.Classes.size(); ++CI) {
-    const ClassPlan &P = Mod.Classes[CI];
-    for (size_t K = 0; K != P.SlotFields.size(); ++K) {
-      const FieldDecl *F = P.SlotFields[K];
-      SlotAlloc SA;
-      SA.Field = F;
-      SA.Color = P.SlotColors[K];
-      const Type *Ty = F->type();
-      if (const ClassDecl *CD = Ty->asClassDecl()) {
-        SA.Kind = SlotAlloc::K::Class;
-        SA.ClassI = Mod.ClassIdx.at(CD);
-      } else if (const auto *AT = dyn_cast<ArrayType>(Ty)) {
-        SA.ElemType = AT->element();
-        SA.Count = AT->size();
-        if (const ClassDecl *Elem = AT->element()->asClassDecl()) {
-          SA.Kind = SlotAlloc::K::ClassArray;
-          SA.ClassI = Mod.ClassIdx.at(Elem);
-        } else {
-          SA.Kind = SlotAlloc::K::ScalarArray;
-          SA.Zero = zeroValueOf(AT->element());
-        }
-      } else {
-        SA.Kind = SlotAlloc::K::Scalar;
-        SA.Zero = zeroValueOf(Ty);
-      }
-      AllocPlans[CI].push_back(SA);
-    }
-  }
+  Span Timer("vm.compile");
+  Slots = SlotLayout(Ctx, Layout);
+  Mod = compileModule(Ctx, CH, Layout, Slots, Config);
 }
 
 VM::~VM() = default;
-
-void VM::fail(const std::string &Message) { throw VMError{Message}; }
 
 void VM::step() {
   if (++Steps > Options.MaxSteps)
@@ -126,52 +62,6 @@ void VM::step() {
 //===----------------------------------------------------------------------===//
 // Storage construction and destruction
 //===----------------------------------------------------------------------===//
-
-Storage *VM::allocSlot(const SlotAlloc &SA, uint64_t ID) {
-  switch (SA.Kind) {
-  case SlotAlloc::K::Class:
-    return allocObject(SA.ClassI, SA.Field, ID);
-  case SlotAlloc::K::ClassArray: {
-    Storage *Arr = Arena.createArray(SA.ElemType, SA.Field);
-    Arr->ObjectID = ID;
-    for (uint64_t J = 0; J != SA.Count; ++J)
-      Arr->Elems.push_back(allocObject(SA.ClassI, SA.Field, ID));
-    return Arr;
-  }
-  case SlotAlloc::K::ScalarArray: {
-    Storage *Arr = Arena.createArray(SA.ElemType, SA.Field);
-    Arr->ObjectID = ID;
-    for (uint64_t J = 0; J != SA.Count; ++J) {
-      Storage *S = Arena.createScalar(SA.Field);
-      S->V = SA.Zero;
-      S->ObjectID = ID;
-      Arr->Elems.push_back(S);
-    }
-    return Arr;
-  }
-  case SlotAlloc::K::Scalar:
-    break;
-  }
-  Storage *S = Arena.createScalar(SA.Field);
-  S->V = SA.Zero;
-  S->ObjectID = ID;
-  return S;
-}
-
-Storage *VM::allocObject(uint32_t ClassI, const FieldDecl *Owner,
-                         uint64_t ID) {
-  const ClassPlan &P = Mod.Classes[ClassI];
-  if (!P.Complete)
-    fail(P.IncompleteMsg);
-  if (!Owner)
-    ++NumCompleteObjects;
-  Storage *Obj = Arena.createObject(P.Decl, Owner);
-  Obj->ObjectID = ID;
-  Obj->Slots.assign(P.NumSlots, nullptr);
-  for (const SlotAlloc &SA : AllocPlans[ClassI])
-    Obj->Slots[SA.Color] = allocSlot(SA, ID);
-  return Obj;
-}
 
 uint64_t VM::traceAlloc(uint32_t ClassI, uint64_t Count) {
   if (!Options.Trace)
@@ -186,15 +76,6 @@ void VM::traceFree(Storage *Obj) {
     return;
   Options.Trace->recordFree(It->second);
   TraceIDs.erase(It);
-}
-
-void VM::markDead(Storage *S) {
-  S->Alive = false;
-  for (Storage *FS : S->Slots)
-    if (FS)
-      markDead(FS);
-  for (Storage *ES : S->Elems)
-    markDead(ES);
 }
 
 void VM::destroyObj(Storage *Obj, uint32_t ClassI, bool MostDerived) {
@@ -278,40 +159,6 @@ void VM::defaultConstructMembers(Storage *Obj, uint32_t ClassI,
 // Loads, stores, conversions
 //===----------------------------------------------------------------------===//
 
-Value VM::loadScalar(Storage *S) {
-  if (!S->Alive)
-    fail("read from destroyed object");
-  if (S->Kind != Storage::SK::Scalar)
-    fail("scalar read from aggregate storage");
-  if (S->OwnerField) {
-    if (Options.ReadSet)
-      Options.ReadSet->insert(S->OwnerField);
-    if (Options.ReadTrace && TracedReads.insert(S->OwnerField).second)
-      Options.ReadTrace->push_back(S->OwnerField);
-    if (Options.Heat)
-      ++Options.Heat->Reads[S->OwnerField];
-    if (Options.Profiler)
-      Options.Profiler->recordRead(S->ObjectID, S->OwnerField);
-  }
-  return S->V;
-}
-
-void VM::storeScalar(Storage *S, const Value &V, Conv C) {
-  if (!S->Alive)
-    fail("write to destroyed object");
-  if (S->Kind != Storage::SK::Scalar)
-    fail("scalar write to aggregate storage");
-  if (S->OwnerField) {
-    if (Options.WriteSet)
-      Options.WriteSet->insert(S->OwnerField);
-    if (Options.Heat)
-      ++Options.Heat->Writes[S->OwnerField];
-    if (Options.Profiler)
-      Options.Profiler->recordWrite(S->ObjectID, S->OwnerField);
-  }
-  S->V = convert(V, C);
-}
-
 Value VM::convert(const Value &V, Conv C) {
   switch (C) {
   case Conv::None:
@@ -351,55 +198,6 @@ static Pointer advancePtr(Pointer P, long long Delta) {
   else
     P.Pointee = nullptr;
   return P;
-}
-
-//===----------------------------------------------------------------------===//
-// Memberwise copies
-//===----------------------------------------------------------------------===//
-
-void VM::ensureFields(Storage *S) {
-  if (S->Kind != Storage::SK::Object || !S->Fields.empty() ||
-      S->Slots.empty())
-    return;
-  // Insert in SlotFields (first-occurrence AllFields) order: the same
-  // keys in the same order as the tree-walker's eager map, so hash-map
-  // iteration — which is part of the observable event order — matches.
-  const ClassPlan &P = Mod.Classes[Mod.ClassIdx.at(S->Class)];
-  for (size_t K = 0; K != P.SlotFields.size(); ++K)
-    if (Storage *FS = S->Slots[P.SlotColors[K]])
-      S->Fields.emplace(P.SlotFields[K], FS);
-}
-
-void VM::copyTree(Storage *Dst, Storage *Src, bool InitForm) {
-  if (Dst->Kind == Storage::SK::Scalar && Src->Kind == Storage::SK::Scalar) {
-    if (Dst->OwnerField) {
-      if (InitForm) {
-        // Copy-initialization (execVarDecl): profiler write only.
-        if (Options.Profiler)
-          Options.Profiler->recordWrite(Dst->ObjectID, Dst->OwnerField);
-      } else {
-        // Class assignment (evalAssign): full write attribution.
-        if (Options.WriteSet)
-          Options.WriteSet->insert(Dst->OwnerField);
-        if (Options.Heat)
-          ++Options.Heat->Writes[Dst->OwnerField];
-        if (Options.Profiler)
-          Options.Profiler->recordWrite(Dst->ObjectID, Dst->OwnerField);
-      }
-    }
-    Dst->V = loadScalar(Src);
-    return;
-  }
-  if (Dst->Kind == Storage::SK::Object) {
-    ensureFields(Dst);
-    ensureFields(Src);
-    for (auto &[Field, FS] : Dst->Fields)
-      if (Src->Fields.count(Field))
-        copyTree(FS, Src->Fields.at(Field), InitForm);
-  }
-  if (Dst->Kind == Storage::SK::Array)
-    for (size_t E = 0; E < Dst->Elems.size() && E < Src->Elems.size(); ++E)
-      copyTree(Dst->Elems[E], Src->Elems[E], InitForm);
 }
 
 //===----------------------------------------------------------------------===//
@@ -898,17 +696,8 @@ Value VM::execCode(const FuncEntry &FE, size_t RBase, size_t LBase,
 
   VM_CASE(FieldPlace) : {
     Storage *S = R[I->B].Ptr.Pointee;
-    Storage *FS = nullptr;
-    if (S && S->Kind == Storage::SK::Object && I->C < S->Slots.size()) {
-      Storage *Cand = S->Slots[I->C];
-      // Colors are shared across unrelated classes: the slot must
-      // actually realize the requested field.
-      if (Cand && Cand->OwnerField == Mod.FieldTable[I->D])
-        FS = Cand;
-    }
-    if (!FS)
-      fail(Mod.Msgs[I->X]);
-    R[I->A] = Value::ofPtr({FS});
+    R[I->A] = Value::ofPtr(
+        {fieldAt(S, Mod.FieldTable[I->D], I->C, Mod.Msgs[I->X])});
   }
   VM_NEXT();
 
@@ -917,15 +706,7 @@ Value VM::execCode(const FuncEntry &FE, size_t RBase, size_t LBase,
     if (PM.Kind != Value::VK::MemberPtr || !PM.Member)
       fail("'.*' through null pointer-to-member");
     Storage *S = R[I->B].Ptr.Pointee;
-    Storage *FS = nullptr;
-    if (S && S->Kind == Storage::SK::Object) {
-      auto It = Mod.FieldColor.find(PM.Member);
-      if (It != Mod.FieldColor.end() && It->second < S->Slots.size()) {
-        Storage *Cand = S->Slots[It->second];
-        if (Cand && Cand->OwnerField == PM.Member)
-          FS = Cand;
-      }
-    }
+    Storage *FS = S ? member(S, PM.Member, Slots.slotOf(PM.Member)) : nullptr;
     if (!FS)
       fail("object has no member for pointer-to-member access");
     R[I->A] = Value::ofPtr({FS});
@@ -991,7 +772,7 @@ Value VM::execCode(const FuncEntry &FE, size_t RBase, size_t LBase,
   VM_NEXT();
 
   VM_CASE(StoreAt) : {
-    storeScalar(R[I->A].Ptr.Pointee, R[I->B], static_cast<Conv>(I->C));
+    storeScalar(R[I->A].Ptr.Pointee, convert(R[I->B], static_cast<Conv>(I->C)));
   }
   VM_NEXT();
 
@@ -1071,7 +852,7 @@ Value VM::execCode(const FuncEntry &FE, size_t RBase, size_t LBase,
       New = Value::ofDouble(Old.asDouble() + Delta);
     else
       New = Value::ofInt(Old.asInt() + Delta);
-    storeScalar(S, New, static_cast<Conv>(I->D));
+    storeScalar(S, convert(New, static_cast<Conv>(I->D)));
     R[I->A] = (I->C & 2) ? New : Old;
   }
   VM_NEXT();
@@ -1133,7 +914,7 @@ Value VM::execCode(const FuncEntry &FE, size_t RBase, size_t LBase,
   VM_CASE(Compound) : {
     Storage *S = R[I->B].Ptr.Pointee;
     Value New = compoundCompute(R[I->C], I->E, R[I->D]);
-    storeScalar(S, New, static_cast<Conv>(I->X));
+    storeScalar(S, convert(New, static_cast<Conv>(I->X)));
     R[I->A] = New;
   }
   VM_NEXT();
@@ -1239,16 +1020,14 @@ Value VM::execCode(const FuncEntry &FE, size_t RBase, size_t LBase,
 
   VM_CASE(AllocObj) : {
     uint64_t ID = NextObjectID++;
-    Storage *Obj = allocObject(I->X, nullptr, ID);
-    if (!I->C || Options.TraceStackObjects) {
-      const ClassPlan &P = Mod.Classes[I->X];
-      if (Options.Profiler)
-        Options.Profiler->registerObjects(P.Decl, 1, ID, Mod.Sites[I->B]);
-      if (uint64_t TID = traceAlloc(I->X, 1))
-        TraceIDs[Obj] = TID;
-      if (Options.Profiler)
-        Options.Profiler->recordAllocEvent(ID);
-    }
+    const ClassDecl *CD = Mod.Classes[I->X].Decl;
+    Storage *Obj = allocObject(CD, nullptr, ID);
+    if (Options.Profiler)
+      Options.Profiler->registerObjects(CD, 1, ID, Mod.Sites[I->B]);
+    if (uint64_t TID = traceAlloc(I->X, 1))
+      TraceIDs[Obj] = TID;
+    if (Options.Profiler)
+      Options.Profiler->recordAllocEvent(ID);
     R[I->A] = Value::ofPtr({Obj});
   }
   VM_NEXT();
@@ -1271,25 +1050,23 @@ Value VM::execCode(const FuncEntry &FE, size_t RBase, size_t LBase,
   VM_NEXT();
 
   VM_CASE(ArrLocal) : {
-    // Interpreter::execVarDecl array branch (Gate always set): the
-    // ObjectID range reserves one ID per element; hooks apply to
-    // class-element arrays only, registration before the element
-    // loop, trace/alloc-event after.
+    // Interpreter::execVarDecl array branch: the ObjectID range
+    // reserves one ID per element; hooks apply to class-element arrays
+    // only, registration before the element loop, trace/alloc-event
+    // after.
     const ArrayDesc &D = Mod.ArrayDescs[I->X];
     Storage *Arr = Arena.createArray(D.ElemType, nullptr);
     uint64_t ID = NextObjectID;
     NextObjectID += std::max<uint64_t>(D.Count, 1);
     Arr->ObjectID = ID;
-    bool Hooks = !D.Gate || Options.TraceStackObjects;
-    if (D.ElemClassIdx >= 0 && Hooks && Options.Profiler)
+    if (D.ElemClassIdx >= 0 && Options.Profiler)
       Options.Profiler->registerObjects(
           Mod.Classes[D.ElemClassIdx].Decl, D.Count, ID,
           Mod.Sites[D.SiteIdx]);
     for (uint64_t J = 0; J != D.Count; ++J) {
       if (D.ElemClassIdx >= 0) {
         Storage *ES =
-            allocObject(static_cast<uint32_t>(D.ElemClassIdx), nullptr,
-                        ID + J);
+            allocObject(Mod.Classes[D.ElemClassIdx].Decl, nullptr, ID + J);
         Arr->Elems.push_back(ES);
         constructVia(ES, static_cast<uint32_t>(D.ElemClassIdx),
                      Mod.Classes[D.ElemClassIdx].Arity0Ctor, 0, 0, true);
@@ -1299,7 +1076,7 @@ Value VM::execCode(const FuncEntry &FE, size_t RBase, size_t LBase,
         Arr->Elems.push_back(ES);
       }
     }
-    if (D.ElemClassIdx >= 0 && Hooks) {
+    if (D.ElemClassIdx >= 0) {
       if (uint64_t TID =
               traceAlloc(static_cast<uint32_t>(D.ElemClassIdx), D.Count))
         TraceIDs[Arr] = TID;
@@ -1336,7 +1113,7 @@ Value VM::execCode(const FuncEntry &FE, size_t RBase, size_t LBase,
     for (long long J = 0; J != Count; ++J) {
       if (D.ElemClassIdx >= 0) {
         Storage *ES =
-            allocObject(static_cast<uint32_t>(D.ElemClassIdx), nullptr,
+            allocObject(Mod.Classes[D.ElemClassIdx].Decl, nullptr,
                         ID + static_cast<uint64_t>(J));
         Arr->Elems.push_back(ES);
         constructVia(ES, static_cast<uint32_t>(D.ElemClassIdx),
@@ -1395,7 +1172,7 @@ Value VM::execCode(const FuncEntry &FE, size_t RBase, size_t LBase,
     Storage *Obj = R[I->A].Ptr.Pointee;
     const Value &Src = R[I->B];
     if (Src.Kind == Value::VK::Ptr && !Src.Ptr.isNull())
-      copyTree(Obj, Src.Ptr.Pointee, /*InitForm=*/true);
+      copyMembers(Obj, Src.Ptr.Pointee, /*InitForm=*/true);
   }
   VM_NEXT();
 
@@ -1403,7 +1180,7 @@ Value VM::execCode(const FuncEntry &FE, size_t RBase, size_t LBase,
     const Value &Src = R[I->C];
     if (Src.Kind != Value::VK::Ptr || Src.Ptr.isNull())
       fail("class assignment from non-object");
-    copyTree(R[I->B].Ptr.Pointee, Src.Ptr.Pointee, /*InitForm=*/false);
+    copyMembers(R[I->B].Ptr.Pointee, Src.Ptr.Pointee, /*InitForm=*/false);
     R[I->A] = R[I->C];
   }
   VM_NEXT();
@@ -1425,35 +1202,17 @@ Value VM::execCode(const FuncEntry &FE, size_t RBase, size_t LBase,
   }
   VM_NEXT();
 
-  // LdFld/StFld repeat FieldPlace's slot check verbatim: colors are
-  // shared across unrelated classes, so the slot must realize the
-  // requested field.
-
   VM_CASE(LdFld) : {
-    Storage *S = R[I->B].Ptr.Pointee;
-    Storage *FS = nullptr;
-    if (S && S->Kind == Storage::SK::Object && I->C < S->Slots.size()) {
-      Storage *Cand = S->Slots[I->C];
-      if (Cand && Cand->OwnerField == Mod.FieldTable[I->D])
-        FS = Cand;
-    }
-    if (!FS)
-      fail(Mod.Msgs[I->X]);
+    Storage *FS = fieldAt(R[I->B].Ptr.Pointee, Mod.FieldTable[I->D], I->C,
+                          Mod.Msgs[I->X]);
     R[I->A] = loadOrDecay(FS);
   }
   VM_NEXT();
 
   VM_CASE(StFld) : {
-    Storage *S = R[I->B].Ptr.Pointee;
-    Storage *FS = nullptr;
-    if (S && S->Kind == Storage::SK::Object && I->C < S->Slots.size()) {
-      Storage *Cand = S->Slots[I->C];
-      if (Cand && Cand->OwnerField == Mod.FieldTable[I->D])
-        FS = Cand;
-    }
-    if (!FS)
-      fail(Mod.Msgs[I->X]);
-    storeScalar(FS, R[I->A], static_cast<Conv>(I->E));
+    Storage *FS = fieldAt(R[I->B].Ptr.Pointee, Mod.FieldTable[I->D], I->C,
+                          Mod.Msgs[I->X]);
+    storeScalar(FS, convert(R[I->A], static_cast<Conv>(I->E)));
   }
   VM_NEXT();
 
@@ -1519,7 +1278,7 @@ ExecResult VM::run(const FunctionDecl *Main) {
     --Depth;
     Result.Completed = true;
     Result.ExitCode = Exit.asInt();
-  } catch (const VMError &E) {
+  } catch (const GuestError &E) {
     Result.Completed = false;
     Result.Error = E.Message;
     logDebug("vm run failed", {kv("error", E.Message), kv("steps", Steps)});

@@ -9,12 +9,14 @@
 /// BytecodeCompiler.h) and runs it with a direct-threaded dispatch loop
 /// (computed goto under GCC/Clang, a switch otherwise). The VM is a
 /// drop-in replacement for the tree-walking Interpreter: it takes the
-/// same InterpOptions, fires the same allocation-trace / read-write /
-/// profiler hooks at the same points in the same order, produces the
-/// same output, exit code, and runtime-error messages, and emits the
-/// same "interp" span and telemetry counters. Only ExecResult::Steps
-/// differs (bytecode instructions, not AST visits) — the differential
-/// `engine` fuzz oracle compares everything else byte for byte.
+/// same InterpOptions, runs on the same storage model (interp/Memory.h:
+/// slot-addressed Storage nodes, attributed scalar access, memberwise
+/// copy), fires the same allocation-trace / read-write / profiler hooks
+/// at the same points in the same order, produces the same output, exit
+/// code, and runtime-error messages, and emits the same "interp" span
+/// and telemetry counters. Only ExecResult::Steps differs (bytecode
+/// instructions, not AST visits) — the differential `engine` fuzz
+/// oracle compares everything else byte for byte.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,14 +27,13 @@
 #include "interp/Memory.h"
 #include "vm/BytecodeCompiler.h"
 
-#include <set>
 #include <unordered_map>
 #include <vector>
 
 namespace dmm {
 namespace vm {
 
-class VM {
+class VM : private MemoryModel {
 public:
   /// Compiles the program; compilation cost is charged to a
   /// "vm.compile" span, execution to "interp" (as the tree-walker).
@@ -49,34 +50,16 @@ public:
   const Module &module() const { return Mod; }
 
 private:
-  struct VMError;
-
-  /// How to create the storage of one field slot at allocation time
-  /// (Interpreter::allocateFieldStorage, precompiled per class).
-  struct SlotAlloc {
-    const FieldDecl *Field = nullptr;
-    uint32_t Color = 0;
-    enum class K : uint8_t { Scalar, Class, ClassArray, ScalarArray } Kind =
-        K::Scalar;
-    uint32_t ClassI = 0;          ///< Class/ClassArray: Classes[] index.
-    const Type *ElemType = nullptr; ///< Arrays: element type.
-    uint64_t Count = 0;           ///< Arrays: static extent.
-    Value Zero;                   ///< Scalar(+array) zero value.
-  };
   /// Per-VSites inline cache: last receiver class -> function index.
   struct VCache {
     const ClassDecl *Class = nullptr;
     uint32_t Fn = 0;
   };
 
-  [[noreturn]] void fail(const std::string &Message);
   void step();
 
-  Storage *allocObject(uint32_t ClassI, const FieldDecl *Owner, uint64_t ID);
-  Storage *allocSlot(const SlotAlloc &SA, uint64_t ID);
   uint64_t traceAlloc(uint32_t ClassI, uint64_t Count);
   void traceFree(Storage *Obj);
-  void markDead(Storage *S);
   void destroyCompleteObject(Storage *Obj);
   void destroyObj(Storage *Obj, uint32_t ClassI, bool MostDerived);
   void constructVia(Storage *Obj, uint32_t ClassI, uint32_t CtorIdx,
@@ -84,16 +67,17 @@ private:
   void defaultConstructMembers(Storage *Obj, uint32_t ClassI,
                                bool MostDerived);
 
-  Value loadScalar(Storage *S);
-  void storeScalar(Storage *S, const Value &V, Conv C);
   Value loadOrDecay(Storage *S);
   static Value convert(const Value &V, Conv C);
-
-  /// Materializes Storage::Fields from Slots in SlotFields order so
-  /// memberwise copies iterate the hash map in the same order as the
-  /// tree-walker's eagerly built map.
-  void ensureFields(Storage *S);
-  void copyTree(Storage *Dst, Storage *Src, bool InitForm);
+  /// The member storage that slot \p Slot of place \p S must hold for
+  /// field \p F; fails with \p Missing when it does not.
+  Storage *fieldAt(Storage *S, const FieldDecl *F, uint32_t Slot,
+                   const std::string &Missing) {
+    Storage *FS = S ? member(S, F, Slot) : nullptr;
+    if (!FS)
+      fail(Missing);
+    return FS;
+  }
 
   Value doCall(uint32_t FnIdx, Storage *This, size_t ArgAbs, uint16_t Argc);
   Value callBuiltin(const FuncEntry &FE, size_t ArgAbs);
@@ -109,10 +93,7 @@ private:
   Storage *stringStorage(uint32_t SiteIdx);
 
   const ClassHierarchy &CH;
-  InterpOptions Options;
   Module Mod;
-  MemoryArena Arena;
-  std::vector<std::vector<SlotAlloc>> AllocPlans; ///< Parallel to Classes.
 
   /// Shared register/local stacks (frames take [base, base+N) windows).
   std::vector<Value> Regs;
@@ -127,12 +108,10 @@ private:
   std::string Output;
   uint64_t Steps = 0;
   uint64_t NumCalls = 0;
-  uint64_t NumCompleteObjects = 0;
   uint64_t NextObjectID = 1;
   size_t Depth = 0; ///< Guest frame count (the tree-walker's Stack.size()).
 
   std::unordered_map<Storage *, uint64_t> TraceIDs;
-  std::set<const FieldDecl *> TracedReads; ///< ReadTrace first-read dedup.
 };
 
 } // namespace vm

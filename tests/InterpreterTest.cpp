@@ -571,19 +571,6 @@ TEST(Interp, TraceDetectsLeaks) {
   EXPECT_EQ(T.numLeaked(), 1u);
 }
 
-TEST(Interp, StackTracingCanBeDisabled) {
-  auto C = compileOK(R"(
-    class A { public: int v; };
-    int main() { A onStack; return 0; }
-  )");
-  AllocationTrace T;
-  InterpOptions Opts;
-  Opts.Trace = &T;
-  Opts.TraceStackObjects = false;
-  runOK(*C, Opts);
-  EXPECT_TRUE(T.events().empty());
-}
-
 TEST(Interp, ReadSetCapturesOnlyReadMembers) {
   auto C = compileOK(R"(
     class A { public: int readMe; int writeMe; };

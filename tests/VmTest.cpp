@@ -8,7 +8,7 @@
 /// The bytecode engine's correctness suite (docs/VM.md):
 ///
 ///  - unit tests over the compiled Module: constant-pool interning,
-///    jump patching, and member-offset (slot color) resolution;
+///    jump patching, and member-offset (slot) resolution;
 ///  - differential tests running the same Compilation through the
 ///    tree-walking Interpreter and the VM, asserting byte-identical
 ///    output, exit code, error message, ReadTrace first-read order,
@@ -268,56 +268,68 @@ TEST(VmBytecode, MemberOffsetsResolveToStableSlotColors) {
       return d.b1 + d.b2 + d.d1 + u.u1;
     }
   )");
-  vm::VM M(C->context(), C->hierarchy());
-  const vm::Module &Mod = M.module();
+  LayoutEngine Layout(C->hierarchy());
+  SlotLayout Slots(C->context(), Layout);
 
   const FieldDecl *B1 = findField(*C, "B", "b1");
   const FieldDecl *B2 = findField(*C, "B", "b2");
   const FieldDecl *D1 = findField(*C, "D", "d1");
   ASSERT_TRUE(B1 && B2 && D1);
 
-  // Every field referenced by the program has a module-wide color, and
-  // co-located fields have distinct colors.
-  ASSERT_TRUE(Mod.FieldColor.count(B1));
-  ASSERT_TRUE(Mod.FieldColor.count(B2));
-  ASSERT_TRUE(Mod.FieldColor.count(D1));
-  uint32_t CB1 = Mod.FieldColor.at(B1);
-  uint32_t CB2 = Mod.FieldColor.at(B2);
-  uint32_t CD1 = Mod.FieldColor.at(D1);
+  // Every field referenced by the program has a module-wide slot, and
+  // co-located fields have distinct slots.
+  uint32_t CB1 = Slots.slotOf(B1);
+  uint32_t CB2 = Slots.slotOf(B2);
+  uint32_t CD1 = Slots.slotOf(D1);
+  ASSERT_NE(CB1, SlotLayout::NoSlot);
+  ASSERT_NE(CB2, SlotLayout::NoSlot);
+  ASSERT_NE(CD1, SlotLayout::NoSlot);
   EXPECT_NE(CB1, CB2);
   EXPECT_NE(CB1, CD1);
   EXPECT_NE(CB2, CD1);
 
-  // The derived class's plan covers the inherited fields under the SAME
-  // colors the base's plan uses — a compiled access through a B* works
+  // The derived class's slots cover the inherited fields under the SAME
+  // slots the base's use — a compiled access through a B* works
   // unchanged on a D receiver.
   const ClassDecl *BD = findClass(*C, "B");
   const ClassDecl *DD = findClass(*C, "D");
   ASSERT_TRUE(BD && DD);
-  ASSERT_TRUE(Mod.ClassIdx.count(BD) && Mod.ClassIdx.count(DD));
-  const vm::ClassPlan &BP = Mod.Classes[Mod.ClassIdx.at(BD)];
-  const vm::ClassPlan &DP = Mod.Classes[Mod.ClassIdx.at(DD)];
-  auto colorIn = [](const vm::ClassPlan &P, const FieldDecl *F,
-                    uint32_t &Out) {
-    for (size_t I = 0; I != P.SlotFields.size(); ++I)
-      if (P.SlotFields[I] == F) {
-        Out = P.SlotColors[I];
+  const SlotLayout::ClassSlots &BP = Slots.of(BD);
+  const SlotLayout::ClassSlots &DP = Slots.of(DD);
+  auto slotIn = [](const SlotLayout::ClassSlots &P, const FieldDecl *F,
+                   uint32_t &Out) {
+    for (const SlotLayout::Entry &E : P.Members)
+      if (E.Field == F) {
+        Out = E.Slot;
         return true;
       }
     return false;
   };
   uint32_t InB = 0, InD = 0;
-  ASSERT_TRUE(colorIn(BP, B1, InB));
-  ASSERT_TRUE(colorIn(DP, B1, InD));
+  ASSERT_TRUE(slotIn(BP, B1, InB));
+  ASSERT_TRUE(slotIn(DP, B1, InD));
   EXPECT_EQ(InB, CB1);
   EXPECT_EQ(InD, CB1);
 
-  // Slot vectors are dense: NumSlots covers the maximum color in use.
+  // Slot vectors are dense: NumSlots covers the maximum slot in use.
   uint32_t MaxD = 0;
-  for (uint32_t Col : DP.SlotColors)
-    MaxD = std::max(MaxD, Col);
+  for (const SlotLayout::Entry &E : DP.Members)
+    MaxD = std::max(MaxD, E.Slot);
   EXPECT_EQ(DP.NumSlots, MaxD + 1);
-  EXPECT_EQ(DP.SlotFields.size(), 3u) << "b1, b2, d1";
+  EXPECT_EQ(DP.Members.size(), 3u) << "b1, b2, d1";
+
+  // The compiled member accesses carry the same numbering.
+  vm::VM M(C->context(), C->hierarchy());
+  const vm::Module &Mod = M.module();
+  unsigned NumAccesses = 0;
+  for (const vm::FuncEntry &F : Mod.Functions)
+    for (const vm::Insn &I : F.Code)
+      if (I.Opcode == vm::Op::FieldPlace || I.Opcode == vm::Op::LdFld ||
+          I.Opcode == vm::Op::StFld) {
+        ++NumAccesses;
+        EXPECT_EQ(I.C, Slots.slotOf(Mod.FieldTable[I.D]));
+      }
+  EXPECT_GE(NumAccesses, 4u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -545,6 +557,46 @@ TEST(VmDifferential, CopySemanticsAndByValueParams) {
       return 0;
     }
   )");
+}
+
+TEST(VmDifferential, MemberwiseCopiesReadInLayoutOrder) {
+  // Each program's first member reads happen inside class copies, so
+  // its first-read order is the copy's walk: the destination's layout
+  // order, recursing into member objects, a repeated non-virtual base's
+  // members once.
+  const std::string Classes = R"(
+    class In { public: int i1; int i2; };
+    class Base { public: int b1; int b2; };
+    class Derived : public Base { public: int d1; In in; int d2; };
+    class Leaf { public: int l1; int l2; };
+    class Left : public Leaf { public: int lf; };
+    class Right : public Leaf { public: int rt; };
+    class Join : public Left, public Right { public: int j; };
+  )";
+  const std::string Whole =
+      "Base::b1 Base::b2 Derived::d1 In::i1 In::i2 Derived::d2";
+  const std::pair<std::string, std::string> Cases[] = {
+      {"Derived a; Derived b = a;", Whole},  // Copy-init.
+      {"Derived a; Derived b; b = a;", Whole}, // Class assignment.
+      {"Derived d; Base b = d; b = d;", "Base::b1 Base::b2"}, // Slices.
+      {"Join a; Join b = a; b = a;",
+       "Leaf::l1 Leaf::l2 Left::lf Right::rt Join::j"},
+  };
+  for (const auto &[Main, Expected] : Cases) {
+    SCOPED_TRACE(Main);
+    auto C = compileOK(Classes + "int main() { " + Main + " return 0; }");
+    if (!C->Success)
+      continue;
+    DeadMemberResult Dead = analyze(*C);
+    EngineRun T = runEngine(*C, Engine::Tree, Dead.deadSet());
+    EngineRun V = runEngine(*C, Engine::Vm, Dead.deadSet());
+    EXPECT_TRUE(T.R.Completed) << "tree-walker aborted: " << T.R.Error;
+    expectSameRun(T, V);
+    std::string Order;
+    for (const FieldDecl *F : T.ReadOrder)
+      Order += (Order.empty() ? "" : " ") + F->qualifiedName();
+    EXPECT_EQ(Order, Expected);
+  }
 }
 
 TEST(VmDifferential, RecursionDepthMatches) {
